@@ -128,14 +128,20 @@ for t in 1 2 8; do
         serve --open-loop --requests 2000 --tenants 100 --load 3.0 --seed 7 \
         --slo 400000 --shed-policy deadline --json --threads "$t" \
         --obs "$obs_tmp/mat$t.openloop.jsonl" > "$obs_tmp/mat$t.openloop.report"
-    # The windowed export runs separately from the --obs row above: with an
-    # SLO in play it also records slo.* alert events into the obs stream,
-    # which would shift the committed r3-smoke baseline.
+    # The same run with the windowed export on. Its SLO burn alert fires, so
+    # its obs stream also carries slo.alerts and slo/alert spans (which is
+    # why it is not the --obs row above: that stream is the committed
+    # r3-smoke baseline). `trace summary` must profile the alert spans.
     cargo run --release -q -p mocha-cli --bin mocha-sim -- \
         serve --open-loop --requests 2000 --tenants 100 --load 3.0 --seed 7 \
         --slo 400000 --shed-policy deadline --json --threads "$t" \
         --metrics-window 100000 --metrics "$obs_tmp/mat$t.openloop.metrics.jsonl" \
-        > /dev/null
+        --obs "$obs_tmp/mat$t.alert.jsonl" > /dev/null
+    cargo run --release -q -p mocha-cli --bin mocha-sim -- \
+        trace summary "$obs_tmp/mat$t.alert.jsonl" > "$obs_tmp/mat$t.alert.profile"
+    grep -q "SLO alert spans: " "$obs_tmp/mat$t.alert.profile" || {
+        echo "trace summary did not report the open-loop SLO alert"; exit 1
+    }
     cargo run --release -q -p mocha-cli --bin mocha-sim -- \
         repro r3 --quick --threads "$t" > "$obs_tmp/mat$t.r3"
     cargo run --release -q -p mocha-cli --bin mocha-sim -- \
@@ -185,7 +191,7 @@ for t in 2 8; do
     for kind in jsonl report profile r1 fault.jsonl fault.report r2 \
                 openloop.jsonl openloop.report r3 r4 \
                 fleet.jsonl fleet.report openfleet.jsonl openfleet.report r5 \
-                metrics.jsonl openloop.metrics.jsonl \
+                metrics.jsonl openloop.metrics.jsonl alert.jsonl alert.profile \
                 cache.jsonl cache.report cache.openloop \
                 cache.metrics.jsonl cache.openloop.metrics.jsonl \
                 cache.r1 cache.r2 cache.r3 cache.r4 \

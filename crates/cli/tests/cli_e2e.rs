@@ -1471,6 +1471,40 @@ fn runtime_metrics_export_is_deterministic_and_well_formed() {
     }
 }
 
+/// An open-loop run whose SLO burn alert fires writes `slo/alert` spans
+/// into its `--obs` stream; `trace summary` profiles that stream (exit 0)
+/// and reports the alerts.
+#[test]
+fn trace_summary_profiles_an_obs_stream_whose_slo_alert_fired() {
+    let dir = std::env::temp_dir();
+    let metrics = dir.join("mocha_alert_e2e.metrics.jsonl");
+    let obs = dir.join("mocha_alert_e2e.obs.jsonl");
+    let out = mocha_sim(&[
+        "serve",
+        "--open-loop",
+        "--requests",
+        "300",
+        "--slo",
+        "400000",
+        "--metrics-window",
+        "100000",
+        "--metrics",
+        metrics.to_str().unwrap(),
+        "--obs",
+        obs.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let stream = std::fs::read_to_string(&obs).expect("obs written");
+    assert!(stream.contains("\"slo/alert\""), "the alert must fire");
+    let summary = mocha_sim(&["trace", "summary", obs.to_str().unwrap()]);
+    assert!(summary.status.success(), "stderr: {}", stderr(&summary));
+    let text = stdout(&summary);
+    assert!(text.contains("SLO alert spans: "), "summary:\n{text}");
+    for f in [metrics, obs] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
 /// Satellite: with a shed policy active, the `stats` snapshot's `hists`
 /// block carries nearest-rank percentiles for the admission-control
 /// histograms (queue depth at arrival, shed slack).

@@ -18,6 +18,7 @@ mod print;
 mod traits;
 
 pub use parse::{parse, JsonError};
+pub use print::{write_num, write_str};
 pub use traits::{FromJson, ToJson};
 
 use std::collections::BTreeMap;

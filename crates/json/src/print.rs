@@ -73,9 +73,13 @@ pub(crate) fn write_pretty(v: &Value, indent: usize, out: &mut String) {
     }
 }
 
-/// Writes a number: integers without a fractional part, everything else via
-/// the shortest float formatting Rust offers.
-fn write_num(n: f64, out: &mut String) {
+/// Appends a number exactly as [`Value::Num`] prints: integers below 9e15
+/// without a fractional part, other finite values via the shortest float
+/// formatting Rust offers, and NaN/±inf as `null`.
+///
+/// Public so callers that write JSON lines directly (without building a
+/// [`Value`]) format numbers byte-identically to the `Value` path.
+pub fn write_num(n: f64, out: &mut String) {
     if n.is_finite() && n.fract() == 0.0 && n.abs() < 9.0e15 {
         write!(out, "{}", n as i64).unwrap();
     } else if n.is_finite() {
@@ -86,7 +90,8 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Appends a quoted, escaped JSON string exactly as [`Value::Str`] prints.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

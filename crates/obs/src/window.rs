@@ -22,15 +22,24 @@
 //!   a lossless [`Histogram::merge`]/sum of consecutive cells, so merging
 //!   every tumbling window reproduces the whole-run aggregate bit for
 //!   bit (the property `obs/tests/window_properties.rs` pins);
+//! * storage is keyed **cell-major** (`(cell, name, labels)`), so an
+//!   emitted window is one contiguous `BTreeMap` range and the JSONL export
+//!   reads each stored entry once per window spanning it (once, for
+//!   tumbling windows) instead of rescanning every cell per window;
 //! * the exports — JSONL (`window`/`whist`/`slo` event kinds), a
-//!   Prometheus-style text exposition, and a JSON snapshot — iterate
-//!   `BTreeMap`s in canonical `(name, labels, window)` order.
+//!   Prometheus-style text exposition, and a JSON snapshot — emit rows in
+//!   canonical `(window, name, label text)` order. `window`/`whist` lines
+//!   are written straight into the output with `mocha_json`'s own number
+//!   and string formatters, keys in the alphabetical order a `jobj!` object
+//!   prints them in.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Bound;
 
 use crate::{names, Histogram, Recorder};
-use mocha_json::Value;
+use mocha_json::{write_num, write_str, Value};
 
 /// A window specification: `width` cycles per window, emitted every
 /// `stride` cycles. `stride == width` is a tumbling window; `stride <
@@ -140,6 +149,9 @@ impl LabelSet {
 pub struct LabelInterner {
     ids: BTreeMap<String, u32>,
     texts: Vec<String>,
+    /// Reused buffer for the canonical text of a lookup, so interning an
+    /// already-seen set does not allocate.
+    scratch: String,
 }
 
 impl LabelInterner {
@@ -155,10 +167,20 @@ impl LabelInterner {
     /// vocabularies (tenant ids, template names, shed reasons, fault
     /// kinds), never free text.
     pub fn intern(&mut self, pairs: &[(&str, &str)]) -> LabelSet {
+        const INLINE: usize = 8;
         self.ensure_empty();
-        let mut sorted: Vec<(&str, &str)> = pairs.to_vec();
+        let mut inline = [("", ""); INLINE];
+        let mut spilled;
+        let sorted = if pairs.len() <= INLINE {
+            inline[..pairs.len()].copy_from_slice(pairs);
+            &mut inline[..pairs.len()]
+        } else {
+            spilled = pairs.to_vec();
+            &mut spilled[..]
+        };
         sorted.sort_unstable();
-        let mut text = String::new();
+        let text = &mut self.scratch;
+        text.clear();
         for (i, (k, v)) in sorted.iter().enumerate() {
             debug_assert!(
                 !k.contains(['=', ',']) && !v.contains(['=', ',']),
@@ -171,12 +193,12 @@ impl LabelInterner {
             text.push('=');
             text.push_str(v);
         }
-        if let Some(&id) = self.ids.get(&text) {
+        if let Some(&id) = self.ids.get(text.as_str()) {
             return LabelSet(id);
         }
         let id = self.texts.len() as u32;
         self.texts.push(text.clone());
-        self.ids.insert(text, id);
+        self.ids.insert(text.clone(), id);
         LabelSet(id)
     }
 
@@ -187,19 +209,35 @@ impl LabelInterner {
             .map(String::as_str)
             .unwrap_or("")
     }
+
+    /// Each interned set's position in label-text order, indexed by id:
+    /// sorting by rank sorts by text without comparing strings. Ids the
+    /// interner never issued rank with the empty set, whose text they
+    /// resolve to.
+    fn text_ranks(&self) -> Vec<u32> {
+        let mut ranks = vec![0; self.texts.len()];
+        for (rank, &id) in self.ids.values().enumerate() {
+            ranks[id as usize] = rank as u32;
+        }
+        ranks
+    }
 }
+
+/// Storage key of one base cell's value: cell first, so the cells of an
+/// emitted window form one contiguous `BTreeMap` range.
+type CellKey = (u64, &'static str, LabelSet);
 
 /// Windowed dimensional counters and histograms over the simulated clock.
 ///
-/// Storage is per base cell (stride bucket); emitted windows are lossless
-/// merges of consecutive cells, so the layer never loses or double-counts
-/// a sample within a window view.
+/// Storage is per base cell (stride bucket), keyed `(cell, name, labels)`;
+/// emitted windows are lossless merges of consecutive cells, so the layer
+/// never loses or double-counts a sample within a window view.
 #[derive(Debug, Clone)]
 pub struct WindowSet {
     spec: WindowSpec,
     labels: LabelInterner,
-    counters: BTreeMap<(&'static str, LabelSet, u64), u64>,
-    hists: BTreeMap<(&'static str, LabelSet, u64), Histogram>,
+    counters: BTreeMap<CellKey, u64>,
+    hists: BTreeMap<CellKey, Histogram>,
     /// Highest base cell covered (fed or observed), `None` before any.
     max_cell: Option<u64>,
 }
@@ -240,7 +278,7 @@ impl WindowSet {
         self.observe_cycle(cycle);
         *self
             .counters
-            .entry((name, labels, self.spec.cell(cycle)))
+            .entry((self.spec.cell(cycle), name, labels))
             .or_insert(0) += delta;
     }
 
@@ -248,7 +286,7 @@ impl WindowSet {
     pub fn sample_at(&mut self, name: &'static str, labels: LabelSet, cycle: u64, value: u64) {
         self.observe_cycle(cycle);
         self.hists
-            .entry((name, labels, self.spec.cell(cycle)))
+            .entry((self.spec.cell(cycle), name, labels))
             .or_default()
             .record(value);
     }
@@ -263,7 +301,7 @@ impl WindowSet {
     pub fn counter_total(&self, name: &str) -> u64 {
         self.counters
             .iter()
-            .filter(|((n, _, _), _)| *n == name)
+            .filter(|((_, n, _), _)| *n == name)
             .map(|(_, &v)| v)
             .sum()
     }
@@ -271,7 +309,7 @@ impl WindowSet {
     /// Whole-run merge of histogram `name` across labels and cells.
     pub fn merged_hist(&self, name: &str) -> Histogram {
         let mut h = Histogram::new();
-        for ((n, _, _), part) in &self.hists {
+        for ((_, n, _), part) in &self.hists {
             if *n == name {
                 h.merge(part);
             }
@@ -281,32 +319,63 @@ impl WindowSet {
 
     /// Counter value inside emitted window `w` (summed across labels).
     pub fn window_counter(&self, name: &str, w: u64) -> u64 {
-        let cells = w..w + self.spec.cells_per_window();
         self.counters
-            .iter()
-            .filter(|((n, _, c), _)| *n == name && cells.contains(c))
+            .range(self.window_cells(w))
+            .filter(|((_, n, _), _)| *n == name)
             .map(|(_, &v)| v)
             .sum()
     }
 
     /// Histogram merged over emitted window `w` (across labels).
     pub fn window_hist(&self, name: &str, w: u64) -> Histogram {
-        let cells = w..w + self.spec.cells_per_window();
         let mut h = Histogram::new();
-        for ((n, _, c), part) in &self.hists {
-            if *n == name && cells.contains(c) {
+        for ((_, n, _), part) in self.hists.range(self.window_cells(w)) {
+            if *n == name {
                 h.merge(part);
             }
         }
         h
     }
 
+    /// Key range covering every stored entry of the cells emitted window
+    /// `w` spans (`w .. w + cells_per_window`).
+    fn window_cells(&self, w: u64) -> (Bound<CellKey>, Bound<CellKey>) {
+        let end = match w.checked_add(self.spec.cells_per_window()) {
+            Some(end) => Bound::Excluded((end, "", LabelSet::EMPTY)),
+            None => Bound::Unbounded,
+        };
+        (Bound::Included((w, "", LabelSet::EMPTY)), end)
+    }
+
+    /// Whole-run counter totals keyed `(name, label text)`.
+    fn totals_by_label(&self) -> BTreeMap<(&'static str, &str), u64> {
+        let mut out: BTreeMap<(&'static str, &str), u64> = BTreeMap::new();
+        for ((_, n, l), &v) in &self.counters {
+            *out.entry((n, self.labels.text(*l))).or_insert(0) += v;
+        }
+        out
+    }
+
+    /// Whole-run histogram merges keyed `(name, label text)`.
+    fn hist_totals_by_label(&self) -> BTreeMap<(&'static str, &str), Histogram> {
+        let mut out: BTreeMap<(&'static str, &str), Histogram> = BTreeMap::new();
+        for ((_, n, l), h) in &self.hists {
+            out.entry((n, self.labels.text(*l))).or_default().merge(h);
+        }
+        out
+    }
+}
+
+/// The per-window rescans the JSONL export used before storage went
+/// cell-major, kept as the differential oracle for [`WindowedMetrics::to_jsonl`].
+#[cfg(any(test, feature = "oracle"))]
+impl WindowSet {
     /// Per-window counters of window `w`, keyed `(name, label text)` in
     /// canonical order.
     fn window_counters_by_label(&self, w: u64) -> BTreeMap<(&'static str, &str), u64> {
         let cells = w..w + self.spec.cells_per_window();
         let mut out: BTreeMap<(&'static str, &str), u64> = BTreeMap::new();
-        for ((n, l, c), &v) in &self.counters {
+        for ((c, n, l), &v) in &self.counters {
             if cells.contains(c) {
                 *out.entry((n, self.labels.text(*l))).or_insert(0) += v;
             }
@@ -322,7 +391,7 @@ impl WindowSet {
         let cells = w..w + self.spec.cells_per_window();
         let mut out: BTreeMap<(&'static str, String), Histogram> = BTreeMap::new();
         let mut labeled: BTreeMap<&'static str, bool> = BTreeMap::new();
-        for ((n, l, c), h) in &self.hists {
+        for ((c, n, l), h) in &self.hists {
             if !cells.contains(c) {
                 continue;
             }
@@ -332,27 +401,14 @@ impl WindowSet {
         }
         for (n, has_labels) in labeled {
             if has_labels {
-                let agg = self.window_hist(n, w);
+                let mut agg = Histogram::new();
+                for ((c, hn, _), part) in &self.hists {
+                    if *hn == n && cells.contains(c) {
+                        agg.merge(part);
+                    }
+                }
                 out.insert((n, String::new()), agg);
             }
-        }
-        out
-    }
-
-    /// Whole-run counter totals keyed `(name, label text)`.
-    fn totals_by_label(&self) -> BTreeMap<(&'static str, &str), u64> {
-        let mut out: BTreeMap<(&'static str, &str), u64> = BTreeMap::new();
-        for ((n, l, _), &v) in &self.counters {
-            *out.entry((n, self.labels.text(*l))).or_insert(0) += v;
-        }
-        out
-    }
-
-    /// Whole-run histogram merges keyed `(name, label text)`.
-    fn hist_totals_by_label(&self) -> BTreeMap<(&'static str, &str), Histogram> {
-        let mut out: BTreeMap<(&'static str, &str), Histogram> = BTreeMap::new();
-        for ((n, l, _), h) in &self.hists {
-            out.entry((n, self.labels.text(*l))).or_default().merge(h);
         }
         out
     }
@@ -541,16 +597,12 @@ impl WindowedMetrics {
 
     /// Alerts raised (rising edges) over the covered cells.
     pub fn alerts(&self) -> u64 {
-        self.slo_rows().iter().filter(|r| r.alert).count() as u64
+        alert_count(&self.slo_rows())
     }
 
     /// Peak `(burn_fast, burn_slow)` over the covered cells.
     pub fn peak_burn(&self) -> (f64, f64) {
-        let rows = self.slo_rows();
-        (
-            rows.iter().map(|r| r.burn_fast).fold(0.0, f64::max),
-            rows.iter().map(|r| r.burn_slow).fold(0.0, f64::max),
-        )
+        peak_burn(&self.slo_rows())
     }
 
     /// First cycle of the first alerting window, if any alert fired.
@@ -565,51 +617,80 @@ impl WindowedMetrics {
     /// the `window` counter rows and `whist` histogram rows, then per base
     /// cell the `slo` rows. Canonical order throughout, so identical runs
     /// export byte-identical streams.
+    ///
+    /// One pass: window `w` is the contiguous cell range of the cell-major
+    /// store, its entries sorted by `(name, label text)` and coalesced
+    /// (rolling windows sum/merge their cells), and each line is written
+    /// straight into the output.
     pub fn to_jsonl(&self) -> String {
+        let ws = &self.windows;
+        let spec = ws.spec;
+        let mut out = self.jsonl_header();
+        let ranks = ws.labels.text_ranks();
+        let rank = |l: LabelSet| ranks.get(l.0 as usize).copied().unwrap_or(0);
+        let mut counters: Vec<(&'static str, u32, LabelSet, u64)> = Vec::new();
+        let mut hists: Vec<HistPart> = Vec::new();
+        for w in 0..ws.window_count() {
+            let line = WindowLine {
+                window: w,
+                start: spec.window_start(w),
+                end: spec.window_end(w),
+            };
+            counters.clear();
+            counters.extend(
+                ws.counters
+                    .range(ws.window_cells(w))
+                    .map(|(&(_, n, l), &v)| (n, rank(l), l, v)),
+            );
+            counters.sort_unstable_by_key(|&(n, r, _, _)| (n, r));
+            for rows in counters.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+                let (name, _, labels, _) = rows[0];
+                let value = rows.iter().map(|r| r.3).sum();
+                line.counter(&mut out, name, ws.labels.text(labels), value);
+            }
+
+            hists.clear();
+            hists.extend(
+                ws.hists
+                    .range(ws.window_cells(w))
+                    .map(|(&(_, n, l), h)| (n, rank(l), l, h)),
+            );
+            hists.sort_unstable_by_key(|&(n, r, _, _)| (n, r));
+            for named in hists.chunk_by(|a, b| a.0 == b.0) {
+                let name = named[0].0;
+                // The empty-label row is the aggregate over every label set
+                // of the name (merge order is irrelevant: merging is exact);
+                // the empty set's own cells only feed that aggregate.
+                line.hist(&mut out, name, "", &merged(named));
+                for rows in named.chunk_by(|a, b| a.1 == b.1) {
+                    let (_, rank, labels, _) = rows[0];
+                    if rank != 0 {
+                        line.hist(&mut out, name, ws.labels.text(labels), &merged(rows));
+                    }
+                }
+            }
+        }
+        self.write_slo_lines(&mut out);
+        out
+    }
+
+    /// The `window_spec` header line.
+    fn jsonl_header(&self) -> String {
         let spec = self.windows.spec;
-        let mut out = String::new();
         let header = mocha_json::jobj! {
             "event" => "window_spec",
             "width" => spec.width,
             "stride" => spec.stride,
             "windows" => self.windows.window_count(),
         };
-        out.push_str(&header.to_string_compact());
+        let mut out = header.to_string_compact();
         out.push('\n');
-        for w in 0..self.windows.window_count() {
-            let start = spec.window_start(w);
-            let end = spec.window_end(w);
-            for ((name, labels), value) in self.windows.window_counters_by_label(w) {
-                let line = mocha_json::jobj! {
-                    "event" => "window",
-                    "window" => w,
-                    "start" => start,
-                    "end" => end,
-                    "name" => name,
-                    "labels" => labels,
-                    "value" => value,
-                };
-                out.push_str(&line.to_string_compact());
-                out.push('\n');
-            }
-            for ((name, labels), hist) in self.windows.window_hists_by_label(w) {
-                let mut line = mocha_json::jobj! {
-                    "event" => "whist",
-                    "window" => w,
-                    "start" => start,
-                    "end" => end,
-                    "name" => name,
-                    "labels" => labels.as_str(),
-                };
-                if let Value::Obj(map) = &mut line {
-                    if let Value::Obj(summary) = hist.summary_json() {
-                        map.extend(summary);
-                    }
-                }
-                out.push_str(&line.to_string_compact());
-                out.push('\n');
-            }
-        }
+        out
+    }
+
+    /// The per-cell `slo` lines.
+    fn write_slo_lines(&self, out: &mut String) {
+        let spec = self.windows.spec;
         for row in self.slo_rows() {
             let line = mocha_json::jobj! {
                 "event" => "slo",
@@ -628,7 +709,6 @@ impl WindowedMetrics {
             out.push_str(&line.to_string_compact());
             out.push('\n');
         }
-        out
     }
 
     /// The Prometheus-style text exposition: whole-run totals per
@@ -681,7 +761,7 @@ impl WindowedMetrics {
         }
         let rows = self.slo_rows();
         if let Some(last) = rows.last() {
-            let (peak_fast, peak_slow) = self.peak_burn();
+            let (peak_fast, peak_slow) = peak_burn(&rows);
             for (name, v) in [
                 ("mocha_slo_burn_fast", last.burn_fast),
                 ("mocha_slo_burn_slow", last.burn_slow),
@@ -692,7 +772,7 @@ impl WindowedMetrics {
                 let _ = writeln!(out, "{name} {v}");
             }
             let _ = writeln!(out, "# TYPE mocha_slo_alerts counter");
-            let _ = writeln!(out, "mocha_slo_alerts {}", self.alerts());
+            let _ = writeln!(out, "mocha_slo_alerts {}", alert_count(&rows));
         }
         out
     }
@@ -740,7 +820,7 @@ impl WindowedMetrics {
         };
         if self.slo.is_some() {
             let rows = self.slo_rows();
-            let (peak_fast, peak_slow) = self.peak_burn();
+            let (peak_fast, peak_slow) = peak_burn(&rows);
             let (burn_fast, burn_slow) = rows
                 .last()
                 .map(|r| (r.burn_fast, r.burn_slow))
@@ -753,7 +833,7 @@ impl WindowedMetrics {
                 "burn_slow" => burn_slow,
                 "peak_burn_fast" => peak_fast,
                 "peak_burn_slow" => peak_slow,
-                "alerts" => self.alerts(),
+                "alerts" => alert_count(&rows),
             };
             if let Value::Obj(map) = &mut snap {
                 map.insert("slo".to_string(), slo);
@@ -779,6 +859,136 @@ impl WindowedMetrics {
             }
         }
     }
+}
+
+#[cfg(any(test, feature = "oracle"))]
+impl WindowedMetrics {
+    /// The JSONL export as built before storage went cell-major — a rescan
+    /// of every stored cell per window and a `jobj!` object per line — kept
+    /// as the differential oracle [`Self::to_jsonl`] must match byte for
+    /// byte.
+    #[doc(hidden)]
+    pub fn to_jsonl_oracle(&self) -> String {
+        let spec = self.windows.spec;
+        let mut out = self.jsonl_header();
+        for w in 0..self.windows.window_count() {
+            let start = spec.window_start(w);
+            let end = spec.window_end(w);
+            for ((name, labels), value) in self.windows.window_counters_by_label(w) {
+                let line = mocha_json::jobj! {
+                    "event" => "window",
+                    "window" => w,
+                    "start" => start,
+                    "end" => end,
+                    "name" => name,
+                    "labels" => labels,
+                    "value" => value,
+                };
+                out.push_str(&line.to_string_compact());
+                out.push('\n');
+            }
+            for ((name, labels), hist) in self.windows.window_hists_by_label(w) {
+                let mut line = mocha_json::jobj! {
+                    "event" => "whist",
+                    "window" => w,
+                    "start" => start,
+                    "end" => end,
+                    "name" => name,
+                    "labels" => labels.as_str(),
+                };
+                if let Value::Obj(map) = &mut line {
+                    if let Value::Obj(summary) = hist.summary_json() {
+                        map.extend(summary);
+                    }
+                }
+                out.push_str(&line.to_string_compact());
+                out.push('\n');
+            }
+        }
+        self.write_slo_lines(&mut out);
+        out
+    }
+}
+
+/// A histogram row's parts: `(name, label rank, labels, cell histogram)`.
+type HistPart<'a> = (&'static str, u32, LabelSet, &'a Histogram);
+
+/// `parts` merged into one histogram, borrowing a lone part as is.
+fn merged<'a>(parts: &[HistPart<'a>]) -> Cow<'a, Histogram> {
+    match parts {
+        [(_, _, _, h)] => Cow::Borrowed(h),
+        _ => {
+            let mut h = Histogram::new();
+            for part in parts {
+                h.merge(part.3);
+            }
+            Cow::Owned(h)
+        }
+    }
+}
+
+/// The fields every `window`/`whist` line of one emitted window shares.
+struct WindowLine {
+    window: u64,
+    start: u64,
+    end: u64,
+}
+
+impl WindowLine {
+    /// Appends a `window` counter line, keys in the alphabetical order a
+    /// `jobj!` object prints them in.
+    fn counter(&self, out: &mut String, name: &str, labels: &str, value: u64) {
+        num_field(out, "{\"end\":", self.end);
+        out.push_str(",\"event\":\"window\",\"labels\":");
+        write_str(labels, out);
+        out.push_str(",\"name\":");
+        write_str(name, out);
+        num_field(out, ",\"start\":", self.start);
+        num_field(out, ",\"value\":", value);
+        num_field(out, ",\"window\":", self.window);
+        out.push_str("}\n");
+    }
+
+    /// Appends a `whist` line: the window fields plus the keys of
+    /// [`Histogram::summary_json`], all in alphabetical order.
+    fn hist(&self, out: &mut String, name: &str, labels: &str, h: &Histogram) {
+        num_field(out, "{\"count\":", h.count());
+        num_field(out, ",\"end\":", self.end);
+        out.push_str(",\"event\":\"whist\",\"labels\":");
+        write_str(labels, out);
+        num_field(out, ",\"max\":", h.max().unwrap_or(0));
+        out.push_str(",\"mean\":");
+        write_num(h.mean(), out);
+        num_field(out, ",\"min\":", h.min().unwrap_or(0));
+        out.push_str(",\"name\":");
+        write_str(name, out);
+        num_field(out, ",\"p50\":", h.p50());
+        num_field(out, ",\"p95\":", h.p95());
+        num_field(out, ",\"p99\":", h.p99());
+        num_field(out, ",\"start\":", self.start);
+        num_field(out, ",\"window\":", self.window);
+        out.push_str("}\n");
+    }
+}
+
+/// Appends `key` then `v` as a JSON number (through `f64`, as
+/// [`mocha_json::ToJson`] converts integers).
+fn num_field(out: &mut String, key: &str, v: u64) {
+    out.push_str(key);
+    write_num(v as f64, out);
+}
+
+/// Rising-edge alerts among `rows`.
+fn alert_count(rows: &[SloRow]) -> u64 {
+    rows.iter().filter(|r| r.alert).count() as u64
+}
+
+/// Peak `(burn_fast, burn_slow)` over `rows` (zeros when empty).
+fn peak_burn(rows: &[SloRow]) -> (f64, f64) {
+    (
+        rows.iter().map(|r| r.burn_fast).fold(0.0, f64::max),
+        rows.iter().map(|r| r.burn_slow).fold(0.0, f64::max),
+    )
 }
 
 /// `mocha_` + the obs metric name with `.` mapped to `_`.

@@ -13,13 +13,26 @@
 //! injections, with latency/wait histograms carrying `template` only so
 //! per-template tails stay cheap to aggregate.
 
+use std::collections::BTreeMap;
+
 use mocha_obs::names;
-use mocha_obs::{WindowSpec, WindowedMetrics};
+use mocha_obs::{LabelSet, WindowSpec, WindowedMetrics};
 use mocha_runtime::RuntimeReport;
 
 use crate::openloop::RequestOutcome;
 use crate::shed::ShedPolicy;
 use crate::traffic::Request;
+
+/// The label sets one request's counters and histograms carry.
+#[derive(Clone, Copy)]
+struct RequestLabels {
+    /// `tenant` + `template`: request-scoped counters.
+    dims: LabelSet,
+    /// `template` only: latency/wait histograms.
+    tmpl: LabelSet,
+    /// `tenant` + `template` + shed `reason`.
+    shed: LabelSet,
+}
 
 /// Windows an open-loop run: one pass over the per-request outcomes and
 /// the fault log. SLO tracking switches on iff any request carries a
@@ -39,21 +52,30 @@ pub fn windows_from_open_loop(
         m.enable_slo();
     }
     let reason = policy.reason();
+    // Label sets per (tenant, template), interned on first sight so the
+    // per-request path neither formats the tenant id nor builds label text.
+    let mut sets: BTreeMap<(u64, &str), RequestLabels> = BTreeMap::new();
     for (req, out) in requests.iter().zip(outcomes) {
-        let tenant = req.tenant.to_string();
-        let dims = m
-            .windows
-            .intern(&[("tenant", &tenant), ("template", &req.spec.network)]);
-        let tmpl = m.windows.intern(&[("template", &req.spec.network)]);
+        let network = req.spec.network.as_str();
+        let RequestLabels { dims, tmpl, shed } =
+            *sets.entry((req.tenant, network)).or_insert_with(|| {
+                let tenant = req.tenant.to_string();
+                RequestLabels {
+                    dims: m
+                        .windows
+                        .intern(&[("tenant", &tenant), ("template", network)]),
+                    tmpl: m.windows.intern(&[("template", network)]),
+                    shed: m.windows.intern(&[
+                        ("tenant", &tenant),
+                        ("template", network),
+                        ("reason", reason),
+                    ]),
+                }
+            });
         m.windows
             .add_at(names::SERVE_REQUESTS, dims, req.arrival, 1);
         match *out {
             RequestOutcome::Shed => {
-                let shed = m.windows.intern(&[
-                    ("tenant", &tenant),
-                    ("template", &req.spec.network),
-                    ("reason", reason),
-                ]);
                 m.windows.add_at(names::SERVE_SHED, shed, req.arrival, 1);
                 if let Some(slo) = m.slo.as_mut() {
                     slo.error(spec.cell(req.arrival), 1);

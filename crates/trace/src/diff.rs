@@ -178,6 +178,8 @@ mod tests {
             latency: Some((10, 20, 30)),
             fault_events: 0,
             fault_lost_cycles: 0,
+            alert_spans: 0,
+            first_alert: None,
             windowed: None,
             fleet: None,
         }

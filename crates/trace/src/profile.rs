@@ -148,6 +148,11 @@ pub struct Profile {
     pub fault_events: u64,
     /// Executed-work cycles lost to faults (`fault.lost_cycles`).
     pub fault_lost_cycles: u64,
+    /// SLO burn alerts recorded in the stream (`slo/alert` spans; 0 when
+    /// no alert fired).
+    pub alert_spans: u64,
+    /// Start cycle of the first alerting window, if any alert fired.
+    pub first_alert: Option<u64>,
     /// Windowed telemetry (only when the stream embeds a `--metrics`
     /// export, so pre-telemetry profiles stay byte-identical).
     pub windowed: Option<WindowProfile>,
@@ -219,6 +224,8 @@ impl Profile {
                 .get(mocha_obs::names::FAULT_LOST_CYCLES)
                 .copied()
                 .unwrap_or(0),
+            alert_spans: tree.alerts.len() as u64,
+            first_alert: tree.alerts.first().map(|&(start, _)| start),
             windowed: stream.window_spec.map(|meta| WindowProfile {
                 width: meta.width,
                 stride: meta.stride,
@@ -327,6 +334,12 @@ impl Profile {
             v = v
                 .with("fault_events", self.fault_events)
                 .with("fault_lost_cycles", self.fault_lost_cycles);
+        }
+        // Alert fields likewise only appear when an alert fired.
+        if let Some(first) = self.first_alert {
+            v = v
+                .with("alert_spans", self.alert_spans)
+                .with("first_alert_cycle", first);
         }
         // Window fields likewise only appear for windowed streams.
         if let Some(w) = &self.windowed {
@@ -462,6 +475,8 @@ impl Profile {
                 .get("fault_lost_cycles")
                 .and_then(Value::as_u64)
                 .unwrap_or(0),
+            alert_spans: v.get("alert_spans").and_then(Value::as_u64).unwrap_or(0),
+            first_alert: v.get("first_alert_cycle").and_then(Value::as_u64),
             windowed: match v.get("windows") {
                 None => None,
                 Some(_) => {
@@ -590,6 +605,13 @@ impl Profile {
                 out,
                 "faults: {} injected, {} executed cycles lost",
                 self.fault_events, self.fault_lost_cycles
+            );
+        }
+        if let Some(first) = self.first_alert {
+            let _ = writeln!(
+                out,
+                "SLO alert spans: {} | first at cycle {first}",
+                self.alert_spans
             );
         }
         if let Some(w) = &self.windowed {
@@ -784,10 +806,19 @@ mod tests {
         m.enable_slo();
         m.slo.as_mut().unwrap().good(0, 1);
         m.slo.as_mut().unwrap().miss(1, 1);
+        // The miss burns the budget: window 1 raises an alert whose span
+        // lands in the obs stream next to the work spans.
+        m.record_alerts(&mut rec);
         let text = format!("{}{}", rec.to_jsonl(), m.to_jsonl());
         let stream = parse_stream(&text).unwrap();
         let tree = SpanTree::build(&stream.spans).unwrap();
         let (p, _) = Profile::build(&tree, &stream, &EnergyTable::default());
+        assert_eq!((p.alert_spans, p.first_alert), (1, Some(200)));
+        assert_eq!(p.makespan, 100, "the alert window is not work");
+        assert!(p
+            .summary_text()
+            .contains("SLO alert spans: 1 | first at cycle 200"));
+        assert_eq!(Profile::from_json(&p.to_json()).unwrap(), p);
         let w = p.windowed.expect("windowed stream distils windows");
         assert_eq!((w.width, w.count), (200, 2));
         // One aggregate (empty-label) tail row per window.

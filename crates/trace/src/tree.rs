@@ -6,7 +6,9 @@
 //! flat stream can't show directly: per-group **critical paths** (which
 //! stage chain actually bounds the makespan, and where it stalls),
 //! load/compute/store **lane occupancy** and overlap efficiency, and the
-//! fabric **idle-gap timeline** between groups.
+//! fabric **idle-gap timeline** between groups. SLO burn alerts
+//! (`slo/alert`) ride along as annotations: they mark windows of the run,
+//! not work, so they stay out of the makespan and the idle timeline.
 
 use crate::event::{Span, TraceError};
 
@@ -173,6 +175,10 @@ pub struct SpanTree {
     /// Whole-shard slices of a fleet batch run (`fleet/shard<s>` spans):
     /// `(shard, start, end)`, in stream order.
     pub shard_slices: Vec<(u64, u64, u64)>,
+    /// Windows that raised an SLO burn alert (`slo/alert` spans):
+    /// `(start, end)`, in stream order. Annotations only — they extend
+    /// neither [`Self::makespan`] nor the idle timeline.
+    pub alerts: Vec<(u64, u64)>,
     /// Last cycle any span covers.
     pub makespan: u64,
     /// Maximal intervals in `[0, makespan)` where no group was executing.
@@ -193,9 +199,12 @@ impl SpanTree {
         let mut job_spans: Vec<(u64, u64, u64)> = Vec::new(); // (id, start, end)
 
         for sp in spans {
-            tree.makespan = tree.makespan.max(sp.end);
             let segs: Vec<&str> = sp.path.split('/').collect();
             match segs.as_slice() {
+                ["slo", "alert"] => {
+                    tree.alerts.push((sp.start, sp.end));
+                    continue;
+                }
                 ["job", id] => {
                     let id = parse_id(id, "job", sp)?;
                     job_spans.push((id, sp.start, sp.end));
@@ -270,6 +279,7 @@ impl SpanTree {
                     ))
                 }
             }
+            tree.makespan = tree.makespan.max(sp.end);
         }
 
         for g in &mut tree.groups {
@@ -641,6 +651,27 @@ mod tests {
         // Fault spans do not create idle gaps or extend the makespan.
         assert_eq!(tree.makespan, 40);
         assert!(tree.idle_gaps.is_empty());
+    }
+
+    #[test]
+    fn slo_alert_spans_are_annotations_not_work() {
+        let spans = vec![
+            span("job/0", 0, 40),
+            span("job/0/group/a", 0, 20),
+            span("job/0/group/a/tile/0/compute", 0, 20),
+            span("job/0/group/b", 30, 40),
+            span("job/0/group/b/tile/0/compute", 30, 40),
+            // Alert windows overlapping the fabric gap and past the end.
+            span("slo/alert", 20, 30),
+            span("slo/alert", 100, 200),
+        ];
+        let tree = SpanTree::build(&spans).unwrap();
+        assert_eq!(tree.alerts, vec![(20, 30), (100, 200)]);
+        assert_eq!(tree.makespan, 40, "alerts do not extend the makespan");
+        assert_eq!(tree.idle_gaps, vec![(20, 30)], "nor fill idle gaps");
+        assert_eq!(tree.groups.len(), 2);
+        // Other `slo/...` paths are still outside the convention.
+        assert!(SpanTree::build(&[span("slo/page", 0, 1)]).is_err());
     }
 
     #[test]
