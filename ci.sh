@@ -257,6 +257,35 @@ grep -v '"fleet' "$obs_tmp/fleet1.jsonl" | cmp - "$obs_tmp/solo.jsonl" || {
     echo "fleet-of-1 obs stream differs from solo runtime beyond fleet lines"; exit 1
 }
 
+echo "== open-loop fleet-of-1 differential (serve --open-loop is a fleet of one)"
+# Both open-loop front-ends drive the same queueing engine: a one-shard
+# fleet with no cold penalty is the single-fabric run. With faults and
+# deadline shedding on, the windowed exports must match byte-for-byte, and
+# the obs streams must match once the fleet/shard0/ span prefix and the
+# fleet.* lines are removed.
+cargo run --release -q -p mocha-cli --bin mocha-sim -- \
+    serve --open-loop --requests 2000 --tenants 100 --load 3.0 --seed 7 \
+    --slo 400000 --shed-policy deadline --faults rate=40,seed=7,transient=0.3 \
+    --metrics-window 100000 --metrics "$obs_tmp/ol_solo.metrics.jsonl" \
+    --obs "$obs_tmp/ol_solo.jsonl" > /dev/null
+cargo run --release -q -p mocha-cli --bin mocha-sim -- \
+    fleet --open-loop --fleet preset=quad --requests 2000 --tenants 100 \
+    --load 3.0 --seed 7 --slo 400000 --shed-policy deadline \
+    --faults rate=40,seed=7,transient=0.3 --metrics-window 100000 \
+    --metrics "$obs_tmp/ol_fleet1.metrics.jsonl" \
+    --obs "$obs_tmp/ol_fleet1.jsonl" > /dev/null
+cmp "$obs_tmp/ol_solo.metrics.jsonl" "$obs_tmp/ol_fleet1.metrics.jsonl" || {
+    echo "open-loop fleet-of-1 metrics export differs from serve --open-loop"; exit 1
+}
+grep -q '"fleet\.' "$obs_tmp/ol_fleet1.jsonl" || {
+    echo "open-loop fleet-of-1 run recorded no fleet.* telemetry"; exit 1
+}
+sed 's#fleet/shard0/##' "$obs_tmp/ol_fleet1.jsonl" | grep -v '"fleet\.' \
+    | cmp - "$obs_tmp/ol_solo.jsonl" || {
+    echo "open-loop fleet-of-1 obs stream differs from serve --open-loop beyond fleet telemetry"
+    exit 1
+}
+
 echo "== trace perf-regression gate (r1 smoke vs committed baseline)"
 # The committed baseline profile was produced from this exact seeded run;
 # regenerate it with:

@@ -4,6 +4,7 @@ use crate::args::Args;
 use mocha::core::controller;
 use mocha::core::trace::Trace;
 use mocha::model::gen;
+use mocha::obs::MemRecorder;
 use mocha::prelude::*;
 
 /// Usage text shown by `help`.
@@ -199,6 +200,37 @@ pub fn strict(args: &Args, positionals: usize, allowed: &[&str]) -> Result<(), i
         return Err(2);
     }
     Ok(())
+}
+
+/// Prints a command's report, or with `--obs` also writes its event
+/// stream: to a file, or to stdout with `--obs -`, where the stream owns
+/// stdout (clean for piping into `mocha-sim trace`) and the report moves
+/// to stderr.
+pub(crate) fn emit(obs_path: Option<&str>, rec: &MemRecorder, report: &str) -> Result<(), String> {
+    match obs_path {
+        None => print!("{report}"),
+        Some("-") => {
+            print!("{}", rec.to_jsonl());
+            eprint!("{report}");
+        }
+        Some(path) => {
+            std::fs::write(path, rec.to_jsonl())
+                .map_err(|e| format!("cannot write {path:?}: {e}"))?;
+            print!("{report}");
+        }
+    }
+    Ok(())
+}
+
+/// A command's exit code: 0, or 2 after printing its one-line error.
+pub(crate) fn exit_code(result: Result<(), String>) -> i32 {
+    match result {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("{e}");
+            2
+        }
+    }
 }
 
 fn profile(name: &str) -> SparsityProfile {

@@ -16,20 +16,20 @@
 use crate::args::Args;
 use crate::commands;
 use crate::config;
-use mocha::engine::Engine;
+use crate::openloop::OpenLoopInput;
+use mocha::fabric::FabricConfig;
 use mocha::fleet::{
     run_fleet, run_fleet_open_loop, FleetConfig, FleetOpenLoopParams, FleetSpec, RouteKind,
 };
 use mocha::obs::{MemRecorder, NoopRecorder};
-use mocha::runtime::{self, DecisionCache, JobSpec, LeasePolicy, Mix, TrafficConfig};
-use mocha::serve::{traffic, windows_from_open_loop, Calibration, ShedPolicy};
+use mocha::runtime::{self, LeasePolicy, Mix, TrafficConfig};
 use mocha_json::ToJson;
 
 /// Parses `--fleet SPEC`, defaulting to a fleet of one quad fabric so
 /// `fleet` without options is the exact off-switch for `runtime`.
 fn fleet_spec(args: &Args) -> Result<FleetSpec, String> {
     match args.options.get("fleet") {
-        None => Ok(FleetSpec::single(mocha::fabric::FabricConfig::mocha_quad())),
+        None => Ok(FleetSpec::single(FabricConfig::mocha_quad())),
         Some(spec) => FleetSpec::parse(spec),
     }
 }
@@ -186,23 +186,7 @@ pub fn fleet(args: &Args) -> i32 {
         );
     }
 
-    match obs_path.as_deref() {
-        None => print!("{out}"),
-        // `--obs -`: the event stream owns stdout; the report moves to
-        // stderr (same contract as `runtime --obs -`).
-        Some("-") => {
-            print!("{}", rec.to_jsonl());
-            eprint!("{out}");
-        }
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, rec.to_jsonl()) {
-                eprintln!("cannot write {path:?}: {e}");
-                return 2;
-            }
-            print!("{out}");
-        }
-    }
-    0
+    commands::exit_code(commands::emit(obs_path.as_deref(), &rec, &out))
 }
 
 /// `fleet --open-loop` (also reached from `serve --open-loop --fleet`):
@@ -237,161 +221,30 @@ pub fn open_loop(args: &Args) -> i32 {
     ) {
         return code;
     }
-    let metrics = match crate::serve::metrics_flags(args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let fleet = match fleet_spec(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let route = match route_kind(args) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let slots = args.opt_u64("max-tenants", 4) as usize;
-    if slots == 0 {
-        eprintln!("--max-tenants must be at least 1");
-        return 2;
-    }
-    let shed = match args.options.get("shed-policy") {
-        None => ShedPolicy::None,
-        Some(s) => match ShedPolicy::parse(s) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        },
-    };
-    let slo = args.options.get("slo").map(|_| args.opt_u64("slo", 0));
-    let faults = match config::fault_plan(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let mix_name = args.opt("mix", "quick");
-    let Some(mix) = Mix::parse(&mix_name) else {
-        eprintln!("unknown mix {mix_name:?} (quick|full)");
-        return 2;
-    };
-    let (label, mut requests) = match args.options.get("trace") {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path:?}: {e}");
-                    return 2;
-                }
-            };
-            match traffic::from_jsonl(&text) {
-                Ok(r) => (format!("replay {path}"), r),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 2;
-                }
-            }
-        }
-        None => {
-            let load = args.opt_f64("load", 2.0);
-            if load <= 0.0 {
-                eprintln!("--load must be positive");
-                return 2;
-            }
-            let tenants = args.opt_u64("tenants", 100) as usize;
-            if tenants == 0 {
-                eprintln!("--tenants must be at least 1");
-                return 2;
-            }
-            let cfg = traffic::OpenLoopConfig {
-                requests: args.opt_u64("requests", 2_000) as usize,
-                tenants,
-                load,
-                seed: args.opt_u64("seed", 42),
-                mix,
-                slo,
-            };
-            (format!("load {load:.2}"), traffic::generate(&cfg))
-        }
-    };
-    // `--slo` is the default deadline: replayed requests keep their own.
-    if let Some(slo) = slo {
-        for r in &mut requests {
-            r.deadline.get_or_insert(slo);
-        }
-    }
-    let specs: Vec<JobSpec> = requests.iter().map(|r| r.spec.clone()).collect();
-    // Calibrate once per distinct shard geometry, not per shard. With
-    // `--cache` one decision cache is shared across the geometries; the
-    // measured cycles are byte-identical either way (only controller
-    // search work is saved), so fleet output stays cache-invariant.
-    let mut cache = args.flag("cache").then(DecisionCache::new);
-    let mut cals: Vec<(mocha::fabric::FabricConfig, Calibration)> = Vec::new();
-    for shard in fleet.shards() {
-        if cals.iter().any(|(f, _)| *f == shard.fabric) {
-            continue;
-        }
-        let cal = match cache.as_mut() {
-            Some(c) => {
-                Calibration::measure_cached(&shard.fabric, slots, &specs, Engine::configured(), c)
-            }
-            None => Calibration::measure(&shard.fabric, slots, &specs, Engine::configured()),
-        };
-        match cal {
-            Ok(c) => cals.push((shard.fabric, c)),
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        }
-    }
-    let services: Vec<Vec<u64>> = fleet
-        .shards()
-        .iter()
-        .map(|sh| {
-            let cal = &cals
-                .iter()
-                .find(|(f, _)| *f == sh.fabric)
-                .expect("calibrated above")
-                .1;
-            requests.iter().map(|r| cal.service(&r.spec)).collect()
-        })
-        .collect();
-    let obs_path = args.options.get("obs").cloned();
+    commands::exit_code(run_open_loop_cmd(args))
+}
+
+fn run_open_loop_cmd(args: &Args) -> Result<(), String> {
+    let metrics = crate::serve::metrics_flags(args)?;
+    let fleet = fleet_spec(args)?;
+    let route = route_kind(args)?;
+    let input = OpenLoopInput::parse(args)?;
+    let fabrics: Vec<FabricConfig> = fleet.shards().iter().map(|s| s.fabric).collect();
+    let services = input.services(args, &fabrics)?;
+    let obs_path = args.options.get("obs").map(String::as_str);
     let params = FleetOpenLoopParams {
         fleet: &fleet,
-        slots,
-        shed,
+        slots: input.slots,
+        shed: input.shed,
         route,
         route_seed: args.opt_u64("route-seed", 42),
-        faults: faults.as_ref(),
+        faults: input.faults.as_ref(),
         cold_penalty: args.opt_u64("cold-penalty", 0),
         record_spans: obs_path.is_some(),
     };
     let mut rec = MemRecorder::new();
-    let (report, outcomes) = run_fleet_open_loop(&params, &requests, &services, &mut rec);
-
-    if let Some((spec, path)) = metrics {
-        let m = windows_from_open_loop(spec, &requests, &outcomes, &report.fault_log, shed);
-        if m.slo.is_some() {
-            m.record_alerts(&mut rec);
-        }
-        if let Err(e) = std::fs::write(&path, m.to_jsonl()) {
-            eprintln!("cannot write {path:?}: {e}");
-            return 2;
-        }
-    }
+    let (report, outcomes) = run_fleet_open_loop(&params, &input.requests, &services, &mut rec);
+    input.export_metrics(metrics, &outcomes, &report.fault_log, &mut rec)?;
 
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -400,7 +253,8 @@ pub fn open_loop(args: &Args) -> i32 {
     } else {
         let _ = writeln!(
             out,
-            "fleet open-loop ({label}): {} requests over {} shard(s), route {}, policy {}",
+            "fleet open-loop ({}): {} requests over {} shard(s), route {}, policy {}",
+            input.label,
             report.offered,
             report.shards.len(),
             report.route,
@@ -421,7 +275,7 @@ pub fn open_loop(args: &Args) -> i32 {
             "  routing: {} rebalanced | {} cold | {} warm",
             report.rebalanced, report.cold_misses, report.warm_hits,
         );
-        if faults.is_some() {
+        if input.faults.is_some() {
             let _ = writeln!(
                 out,
                 "  faults: {} injected | {} quarantined | {} cycles lost",
@@ -469,21 +323,5 @@ pub fn open_loop(args: &Args) -> i32 {
             );
         }
     }
-    match obs_path.as_deref() {
-        None => print!("{out}"),
-        // `--obs -`: the event stream owns stdout; the report moves to
-        // stderr (same contract as `serve --open-loop --obs -`).
-        Some("-") => {
-            print!("{}", rec.to_jsonl());
-            eprint!("{out}");
-        }
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, rec.to_jsonl()) {
-                eprintln!("cannot write {path:?}: {e}");
-                return 2;
-            }
-            print!("{out}");
-        }
-    }
-    0
+    commands::emit(obs_path, &rec, &out)
 }

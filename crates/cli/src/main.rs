@@ -41,6 +41,7 @@ mod args;
 mod commands;
 mod config;
 mod fleet_cmd;
+mod openloop;
 mod serve;
 mod trace_cmd;
 

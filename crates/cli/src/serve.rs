@@ -22,15 +22,16 @@
 use crate::args::Args;
 use crate::commands;
 use crate::config;
+use crate::openloop::OpenLoopInput;
 use mocha::engine::Engine;
 use mocha::obs::{names, MemRecorder, Recorder, WindowSpec, WindowedMetrics};
 use mocha::runtime::{
     self, DecisionCache, JobSpec, Mix, RuntimeConfig, RuntimeReport, Submission, TrafficConfig,
 };
 use mocha::serve::{
-    read_line_capped, run_open_loop, serve_reactor, traffic, windows_from_open_loop,
-    windows_from_runtime, BatchHandler, Calibration, ClientBatch, LineRead, OpenLoopParams,
-    ReactorConfig, Request, RequestOutcome, ShedPolicy, MAX_LINE_BYTES,
+    read_line_capped, run_open_loop, serve_reactor, windows_from_runtime, BatchHandler,
+    Calibration, ClientBatch, LineRead, OpenLoopParams, ReactorConfig, Request, RequestOutcome,
+    ShedPolicy, MAX_LINE_BYTES,
 };
 use mocha_json::{FromJson, ToJson};
 use std::collections::BTreeMap;
@@ -777,130 +778,28 @@ fn open_loop(args: &Args) -> i32 {
     ) {
         return code;
     }
-    let metrics = match metrics_flags(args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    commands::exit_code(run_open_loop_cmd(args))
+}
+
+fn run_open_loop_cmd(args: &Args) -> Result<(), String> {
+    let metrics = metrics_flags(args)?;
     let fabric = match args.options.get("fabric") {
         None => mocha::fabric::FabricConfig::mocha_quad(),
         Some(_) => commands::load_fabric(args),
     };
-    let slots = args.opt_u64("max-tenants", 4) as usize;
-    if slots == 0 {
-        eprintln!("--max-tenants must be at least 1");
-        return 2;
-    }
-    let shed = match args.options.get("shed-policy") {
-        None => ShedPolicy::None,
-        Some(s) => match ShedPolicy::parse(s) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        },
-    };
-    let slo = args.options.get("slo").map(|_| args.opt_u64("slo", 0));
-    let faults = match config::fault_plan(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let mix_name = args.opt("mix", "quick");
-    let Some(mix) = Mix::parse(&mix_name) else {
-        eprintln!("unknown mix {mix_name:?} (quick|full)");
-        return 2;
-    };
-    let (label, mut requests) = match args.options.get("trace") {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path:?}: {e}");
-                    return 2;
-                }
-            };
-            match traffic::from_jsonl(&text) {
-                Ok(r) => (format!("replay {path}"), r),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 2;
-                }
-            }
-        }
-        None => {
-            let load = args.opt_f64("load", 2.0);
-            if load <= 0.0 {
-                eprintln!("--load must be positive");
-                return 2;
-            }
-            let tenants = args.opt_u64("tenants", 100) as usize;
-            if tenants == 0 {
-                eprintln!("--tenants must be at least 1");
-                return 2;
-            }
-            let cfg = traffic::OpenLoopConfig {
-                requests: args.opt_u64("requests", 2_000) as usize,
-                tenants,
-                load,
-                seed: args.opt_u64("seed", 42),
-                mix,
-                slo,
-            };
-            (format!("load {load:.2}"), traffic::generate(&cfg))
-        }
-    };
-    // `--slo` is the default deadline: replayed requests keep their own.
-    if let Some(slo) = slo {
-        for r in &mut requests {
-            r.deadline.get_or_insert(slo);
-        }
-    }
-    let specs: Vec<JobSpec> = requests.iter().map(|r| r.spec.clone()).collect();
-    // `--cache`: calibration shares one decision cache across templates.
-    // Measured cycles are byte-identical either way; only the controller
-    // search work is saved.
-    let cal = match if args.flag("cache") {
-        let mut cache = DecisionCache::new();
-        Calibration::measure_cached(&fabric, slots, &specs, Engine::configured(), &mut cache)
-    } else {
-        Calibration::measure(&fabric, slots, &specs, Engine::configured())
-    } {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let services: Vec<u64> = requests.iter().map(|r| cal.service(&r.spec)).collect();
-    let obs_path = args.options.get("obs").cloned();
+    let input = OpenLoopInput::parse(args)?;
+    let services = input.services(args, &[fabric])?.remove(0);
+    let obs_path = args.options.get("obs").map(String::as_str);
     let params = OpenLoopParams {
         fabric: &fabric,
-        slots,
-        shed,
-        faults: faults.as_ref(),
+        slots: input.slots,
+        shed: input.shed,
+        faults: input.faults.as_ref(),
         record_spans: obs_path.is_some(),
     };
     let mut rec = MemRecorder::with_span_cap(SERVE_SPAN_CAP);
-    let (report, outcomes) = run_open_loop(&params, &requests, &services, &mut rec);
-
-    if let Some((spec, path)) = metrics {
-        let m = windows_from_open_loop(spec, &requests, &outcomes, &report.fault_log, shed);
-        // SLO alerts also land in the obs stream (counter + spans) so the
-        // trace tooling sees them without parsing the metrics file.
-        if m.slo.is_some() {
-            m.record_alerts(&mut rec);
-        }
-        if let Err(e) = std::fs::write(&path, m.to_jsonl()) {
-            eprintln!("cannot write {path:?}: {e}");
-            return 2;
-        }
-    }
+    let (report, outcomes) = run_open_loop(&params, &input.requests, &services, &mut rec);
+    input.export_metrics(metrics, &outcomes, &report.fault_log, &mut rec)?;
 
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -909,8 +808,8 @@ fn open_loop(args: &Args) -> i32 {
     } else {
         let _ = writeln!(
             out,
-            "open-loop ({label}): {} requests on {} slots, policy {}",
-            report.offered, report.servers, report.policy,
+            "open-loop ({}): {} requests on {} slots, policy {}",
+            input.label, report.offered, report.servers, report.policy,
         );
         let _ = writeln!(
             out,
@@ -922,7 +821,7 @@ fn open_loop(args: &Args) -> i32 {
             report.in_slo,
             report.deadline_misses,
         );
-        if faults.is_some() {
+        if input.faults.is_some() {
             let _ = writeln!(
                 out,
                 "  faults: {} injected | {} quarantined | {} cycles lost",
@@ -940,23 +839,7 @@ fn open_loop(args: &Args) -> i32 {
             100.0 * report.utilization(),
         );
     }
-    match obs_path.as_deref() {
-        None => print!("{out}"),
-        // `--obs -`: the event stream owns stdout; the report moves to
-        // stderr (same contract as `runtime --obs -`).
-        Some("-") => {
-            print!("{}", rec.to_jsonl());
-            eprint!("{out}");
-        }
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, rec.to_jsonl()) {
-                eprintln!("cannot write {path:?}: {e}");
-                return 2;
-            }
-            print!("{out}");
-        }
-    }
-    0
+    commands::emit(obs_path, &rec, &out)
 }
 
 /// `runtime` subcommand.
@@ -1104,21 +987,5 @@ pub fn runtime_cmd(args: &Args) -> i32 {
         );
     }
 
-    match obs_path.as_deref() {
-        None => print!("{out}"),
-        // `--obs -`: the event stream owns stdout (clean for piping into
-        // `mocha-sim trace`); the human report moves to stderr.
-        Some("-") => {
-            print!("{}", rec.to_jsonl());
-            eprint!("{out}");
-        }
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, rec.to_jsonl()) {
-                eprintln!("cannot write {path:?}: {e}");
-                return 2;
-            }
-            print!("{out}");
-        }
-    }
-    0
+    commands::exit_code(commands::emit(obs_path.as_deref(), &rec, &out))
 }

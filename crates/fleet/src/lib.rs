@@ -7,13 +7,16 @@
 //! * [`spec`] — [`FleetSpec`]: the CLI-parsable per-instance geometry list
 //!   (`preset=quad/grid=8,banks=16,count=2`), with the same strict
 //!   one-line error contract as `FaultPlan`;
-//! * [`route`] — the [`RoutePolicy`] trait and its three implementations:
-//!   `round-robin`, `locality` (route to the shard whose decision-cache /
-//!   shape affinity is warmest), and `p2c` (power-of-two-choices on queue
-//!   depth, seeded);
-//! * [`openfleet`] — the fleet open-loop queueing simulation behind
-//!   experiment R5: per-shard fault domains, quarantine-triggered live
-//!   re-balancing, and template-warmth cold penalties;
+//! * [`route`] — the three [`RoutePolicy`] implementations: `round-robin`,
+//!   `locality` (route to the shard whose decision-cache / shape affinity
+//!   is warmest), and `p2c` (power-of-two-choices on queue depth, seeded);
+//!   the trait itself lives next to the open-loop engine in
+//!   `mocha_serve::openloop`;
+//! * [`openfleet`] — the fleet open-loop simulation behind experiment R5,
+//!   a thin layer over `mocha-serve`'s one queueing engine: per-shard fault
+//!   domains, quarantine-triggered live re-balancing, and template-warmth
+//!   cold penalties. A fleet of one is `serve --open-loop` exactly, modulo
+//!   the `fleet/shard0/` span prefix and `fleet.*` telemetry lines;
 //! * [`batch`] — the fleet batch path: routed submissions executed on the
 //!   full cycle-accurate per-shard scheduler, aggregated in canonical
 //!   shard order. A fleet of one is an exact off-switch: byte-identical to

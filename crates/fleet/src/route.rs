@@ -1,5 +1,9 @@
 //! Routing policies: which shard does the next job land on?
 //!
+//! The [`RoutePolicy`] trait and [`ShardView`] are defined next to the
+//! open-loop engine in `mocha_serve::openloop` and re-exported here; this
+//! module holds the three implementations and their CLI names.
+//!
 //! All three policies are deterministic functions of the job stream and the
 //! fleet state — the power-of-two-choices sampler draws from a seeded
 //! [`ModelRng`], never from ambient entropy — so a fleet replay is
@@ -19,29 +23,8 @@ use std::collections::BTreeMap;
 
 use mocha_model::rng::ModelRng;
 
-/// Instantaneous view of one shard, passed to [`RoutePolicy::route`] in
-/// canonical shard order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardView {
-    /// Jobs admitted to the shard but not yet started.
-    pub depth: usize,
-    /// Estimated backlog in cycles (service estimate of everything queued).
-    pub backlog: u64,
-}
-
-/// A routing policy. `template` identifies the job's shape class (index
-/// into the workload's template table) so locality-aware policies can track
-/// per-shard warmth.
-pub trait RoutePolicy {
-    /// Stable policy name, as printed in reports and parsed by the CLI.
-    fn name(&self) -> &'static str;
-    /// Pick a shard for the next job. `views.len()` is the fleet size and
-    /// is always ≥ 1; the returned index must be `< views.len()`.
-    fn route(&mut self, template: usize, views: &[ShardView]) -> usize;
-    /// A shard was quarantined: drop any affinity state for it so future
-    /// jobs do not chase a cold (or dead) cache.
-    fn forget_shard(&mut self, shard: usize);
-}
+/// The policy contract lives next to the open-loop engine that calls it.
+pub use mocha_serve::openloop::{RoutePolicy, ShardView};
 
 /// Which routing policy to run. Parsed from the CLI `--route` flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

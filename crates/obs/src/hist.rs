@@ -9,6 +9,17 @@
 
 use std::collections::BTreeMap;
 
+/// Nearest-rank percentile of an ascending slice: the element at rank
+/// `ceil(p/100 · n)`, clamped to `[1, n]` (0 when empty). Every report's
+/// `latency_percentile` is this function over its sorted latencies.
+pub fn sorted_percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// An exact streaming histogram of `u64` samples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
@@ -70,8 +81,8 @@ impl Histogram {
     /// count reaches `ceil(p/100 · n)` (clamped to `[1, n]`, so `p = 0`
     /// returns the minimum and `p = 100` the maximum). `None` when empty.
     ///
-    /// This is the same definition `RuntimeReport::latency_percentile`
-    /// uses, so fleet reports and live histograms can never disagree.
+    /// This is the same definition [`sorted_percentile`] uses, so reports
+    /// and live histograms can never disagree.
     pub fn quantile(&self, p: f64) -> Option<u64> {
         if self.total == 0 {
             return None;

@@ -32,5 +32,5 @@ pub use lease::LeasePolicy;
 pub use mocha_core::DecisionCache;
 pub use mocha_fault::{FaultMode, FaultPlan};
 pub use report::{JobReport, RuntimeReport};
-pub use scheduler::{run, run_with, run_with_cache, RuntimeConfig};
+pub use scheduler::{kind_counter, run, run_with, run_with_cache, RuntimeConfig};
 pub use workload::{generate, Mix, TrafficConfig};

@@ -103,12 +103,8 @@ impl RuntimeReport {
     /// Nearest-rank percentile of arrival-to-completion latency, cycles.
     pub fn latency_percentile(&self, p: f64) -> u64 {
         let mut lat: Vec<u64> = self.jobs.iter().map(JobReport::latency).collect();
-        if lat.is_empty() {
-            return 0;
-        }
         lat.sort_unstable();
-        let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
-        lat[rank.clamp(1, lat.len()) - 1]
+        mocha_obs::sorted_percentile(&lat, p)
     }
 
     /// Mean admission queue wait, cycles.

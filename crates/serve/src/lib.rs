@@ -17,8 +17,9 @@
 //! * [`traffic`] — seeded heavy-tailed (bounded-Pareto) open-loop arrival
 //!   traces over skewed tenant populations, with a JSON-lines file form
 //!   for replay;
-//! * [`openloop`] — the open-loop queueing simulation behind experiment
-//!   R3: calibrated service times, FIFO slots, shedding, and fault-driven
+//! * [`openloop`] — the one open-loop queueing engine, behind experiments
+//!   R3 (one fabric) and R5 (a fleet, through `mocha-fleet`): calibrated
+//!   service times, FIFO slots, shedding, routing, and fault-driven
 //!   capacity loss (quarantine composition), producing goodput/latency
 //!   curves;
 //! * [`protocol`] — JSON-lines hardening shared by the reactor and the
@@ -42,7 +43,10 @@ pub mod traffic;
 
 pub use calibrate::Calibration;
 pub use metrics::{windows_from_open_loop, windows_from_runtime};
-pub use openloop::{run_open_loop, OpenLoopParams, OpenLoopReport, RequestOutcome};
+pub use openloop::{
+    run_open_loop, run_queue, OpenLoopParams, OpenLoopReport, QueueParams, QueueRun,
+    RequestOutcome, RoutePolicy, ShardSetup, ShardStats, ShardView,
+};
 pub use protocol::{read_line_capped, LineRead, MAX_LINE_BYTES};
 pub use reactor::{serve_reactor, BatchHandler, ClientBatch, ReactorConfig};
 pub use shed::ShedPolicy;

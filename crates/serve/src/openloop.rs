@@ -1,36 +1,48 @@
-//! The deterministic open-loop serving simulation behind experiment R3.
+//! The deterministic open-loop queueing engine behind experiments R3 and R5.
 //!
-//! Arrivals from a [`Request`] trace are admitted onto `c` tenant slots —
-//! FIFO per slot, earliest-free-slot placement, which is the classic
-//! `c`-server FIFO queue — where each admitted request holds its slot for
-//! its *calibrated* service time ([`crate::calibrate`]). This is a
-//! queueing-level model, not a re-run of the cycle-accurate runtime: it
+//! Arrivals from a [`Request`] trace are routed to one of N *shards* —
+//! fabric instances, each carved into tenant slots — and admitted onto that
+//! shard's slots: FIFO per slot, earliest-free-slot placement, the classic
+//! `c`-server FIFO queue. Each admitted request holds its slot for its
+//! *calibrated* service time on that shard ([`crate::calibrate`]). This is
+//! a queueing-level model, not a re-run of the cycle-accurate runtime: it
 //! keeps 10⁵-request load sweeps tractable while preserving exactly the
-//! quantities R3 studies — queueing delay, deadline misses, shed rate,
+//! quantities R3 and R5 study — queueing delay, deadline misses, shed rate,
 //! goodput — and the calibration ties its service times to the real
 //! simulator.
 //!
-//! Faults compose the same way they do in the runtime: a seeded
-//! [`FaultTimeline`] interleaves with arrivals; a fault that lands on a
-//! busy slot discards the in-progress attempt (bounded retries, then the
-//! job fails), and a *permanent* fault is offered to [`Quarantine`] — when
-//! admitted, the healthy carve window shrinks and excess slots are evicted,
-//! their residents migrating to the surviving slots. Shedding therefore
-//! reacts to fault-driven capacity loss with no extra coupling: fewer
-//! slots ⇒ later predicted starts ⇒ more sheds.
+//! Every shard is its own fault domain. A seeded [`FaultTimeline`]
+//! interleaves with arrivals; a fault that lands on a busy slot discards
+//! the in-progress attempt (bounded retries, then the job fails), and a
+//! *permanent* fault is offered to the shard's [`Quarantine`]. When
+//! admitted, the healthy carve window shrinks and excess slots are evicted;
+//! their residents are re-routed through the [`RoutePolicy`], and a
+//! cross-shard move is re-costed with the destination's service time.
+//! Shedding reacts to fault-driven capacity loss with no extra coupling:
+//! fewer slots ⇒ later predicted starts ⇒ more sheds. The first job of a
+//! template on a shard pays a cold decision-cache penalty; a quarantine
+//! clears the shard's warm set, because the carve geometry changed.
 //!
-//! The whole simulation is a sequential pure function of `(trace,
-//! services, policy, fault plan)`: byte-identical output at any worker
-//! count, which is what lets `ci.sh` gate R3 across `--threads 1/2/8`.
+//! [`run_queue`] is the one engine. [`run_open_loop`] is its one-shard
+//! call (R3 and the `serve` admission pre-pass); `mocha-fleet`'s
+//! `run_fleet_open_loop` is its N-shard call (R5). The callers differ only
+//! in telemetry naming, which they pass in as data: a span prefix per
+//! shard and the histograms each arrival's queue depth is sampled into. A
+//! lone shard is never routed, so a fleet of one with no cold penalty is
+//! the single-fabric model exactly.
+//!
+//! A run is a sequential pure function of its inputs: byte-identical
+//! output at any worker count, which is what lets `ci.sh` gate R3 and R5
+//! across `--threads 1/2/8`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use mocha_fabric::FabricConfig;
 use mocha_fault::{FaultEvent, FaultKind, FaultPlan, FaultTimeline, Quarantine};
 use mocha_json::{ToJson, Value};
-use mocha_obs::{names, Recorder};
-use mocha_runtime::lease;
+use mocha_obs::{names, sorted_percentile, Recorder};
+use mocha_runtime::{kind_counter, lease};
 
 use crate::shed::ShedPolicy;
 use crate::traffic::Request;
@@ -76,7 +88,7 @@ pub enum RequestOutcome {
 pub struct OpenLoopReport {
     /// Shed policy name.
     pub policy: String,
-    /// Tenant slots the run started with.
+    /// Tenant slots the run started with, over all shards.
     pub servers: usize,
     /// Requests offered by the trace.
     pub offered: usize,
@@ -115,11 +127,12 @@ pub struct OpenLoopReport {
 impl OpenLoopReport {
     /// Nearest-rank latency percentile over completions (0 when none).
     pub fn latency_percentile(&self, p: f64) -> u64 {
-        if self.latencies.is_empty() {
-            return 0;
-        }
-        let rank = (p / 100.0 * self.latencies.len() as f64).ceil() as usize;
-        self.latencies[rank.clamp(1, self.latencies.len()) - 1]
+        sorted_percentile(&self.latencies, p)
+    }
+
+    /// Every completion latency, ascending.
+    pub fn sorted_latencies(&self) -> &[u64] {
+        &self.latencies
     }
 
     /// In-SLO completions per million cycles of horizon — the goodput R3
@@ -169,9 +182,208 @@ impl ToJson for OpenLoopReport {
     }
 }
 
+/// Instantaneous view of one shard, passed to [`RoutePolicy::route`] in
+/// canonical shard order.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ShardView {
+    /// Jobs admitted to the shard but not yet started.
+    pub depth: usize,
+    /// Estimated backlog in cycles (service estimate of everything queued).
+    pub backlog: u64,
+}
+
+/// A routing policy. `template` identifies the job's shape class (index
+/// into the workload's template table) so locality-aware policies can track
+/// per-shard warmth.
+pub trait RoutePolicy {
+    /// Stable policy name, as printed in reports and parsed by the CLI.
+    fn name(&self) -> &'static str;
+    /// Pick a shard for the next job. `views.len()` is the fleet size and
+    /// is always ≥ 1; the returned index must be `< views.len()`.
+    fn route(&mut self, template: usize, views: &[ShardView]) -> usize;
+    /// A shard was quarantined: drop any affinity state for it so future
+    /// jobs do not chase a cold (or dead) cache.
+    fn forget_shard(&mut self, shard: usize);
+}
+
+/// Per-shard tallies of one run, in canonical shard order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ShardStats {
+    /// Shard label (`16x16/32b`; empty for the single-fabric run).
+    pub label: String,
+    /// Tenant slots the shard started with.
+    pub servers: usize,
+    /// Requests routed here (including ones shed at admission).
+    pub routed: usize,
+    /// Requests shed at this shard's admission gate.
+    pub shed: usize,
+    /// Jobs that completed here (including re-balanced arrivals).
+    pub completed: usize,
+    /// Jobs that exhausted their fault-retry budget here.
+    pub failed: usize,
+    /// Jobs still queued when the simulation ended (always 0 today: the
+    /// final drain retires everything; kept explicit for the conservation
+    /// identity).
+    pub in_flight: usize,
+    /// Jobs that migrated *in* from a quarantined shard.
+    pub rebalanced_in: usize,
+    /// Jobs that migrated *out* when this shard quarantined.
+    pub rebalanced_out: usize,
+    /// Fault events drawn from this shard's timeline.
+    pub faults_injected: usize,
+    /// Permanent faults admitted into this shard's quarantine.
+    pub quarantined: usize,
+    /// Slot-cycles spent on successful service attempts.
+    pub busy_cycles: u64,
+    /// Slot-cycles discarded to faults.
+    pub lost_cycles: u64,
+    latencies: Vec<u64>, // sorted
+}
+
+impl ShardStats {
+    /// Nearest-rank latency percentile over this shard's completions.
+    pub fn latency_percentile(&self, p: f64) -> u64 {
+        sorted_percentile(&self.latencies, p)
+    }
+
+    /// Per-shard conservation: everything routed or migrated in was shed,
+    /// finished, failed, migrated out, or is still in flight.
+    pub fn conserved(&self) -> bool {
+        self.routed + self.rebalanced_in
+            == self.shed + self.completed + self.failed + self.rebalanced_out + self.in_flight
+    }
+}
+
+impl ToJson for ShardStats {
+    fn to_json(&self) -> Value {
+        mocha_json::jobj! {
+            "label" => self.label.as_str(),
+            "servers" => self.servers as u64,
+            "routed" => self.routed as u64,
+            "shed" => self.shed as u64,
+            "completed" => self.completed as u64,
+            "failed" => self.failed as u64,
+            "in_flight" => self.in_flight as u64,
+            "rebalanced_in" => self.rebalanced_in as u64,
+            "rebalanced_out" => self.rebalanced_out as u64,
+            "faults_injected" => self.faults_injected as u64,
+            "quarantined" => self.quarantined as u64,
+            "busy_cycles" => self.busy_cycles,
+            "lost_cycles" => self.lost_cycles,
+            "latency_p99" => self.latency_percentile(99.0),
+        }
+    }
+}
+
+/// One shard of a [`run_queue`] call.
+pub struct ShardSetup<'a> {
+    /// Label carried into [`ShardStats::label`].
+    pub label: String,
+    /// The parent fabric the shard's slots are carved from.
+    pub fabric: FabricConfig,
+    /// Calibrated service time of every request on this shard.
+    pub services: &'a [u64],
+    /// This shard's own fault schedule.
+    pub faults: Option<FaultPlan>,
+    /// Prefix of every span the shard records (`""`, `fleet/shard2/`).
+    pub span_prefix: String,
+}
+
+/// Parameters of one [`run_queue`] call.
+pub struct QueueParams<'a> {
+    /// The shards, in canonical order; at least one.
+    pub shards: Vec<ShardSetup<'a>>,
+    /// Requested tenant slots per shard (clamped per shard to what its
+    /// fabric can host).
+    pub slots: usize,
+    /// Admission-control policy, applied on the routed shard.
+    pub shed: ShedPolicy,
+    /// Picks the shard of every arrival and every displaced job. It is
+    /// consulted only when there is more than one shard; without one,
+    /// everything lands on shard 0.
+    pub router: Option<&'a mut dyn RoutePolicy>,
+    /// Extra cycles the first job of a template pays on a shard whose
+    /// decision cache has not seen that template.
+    pub cold_penalty: u64,
+    /// Record a `<prefix>job/<idx>` span per completion and a
+    /// `<prefix>fault/<kind>` span per interrupted attempt.
+    pub record_spans: bool,
+    /// Histograms each arrival's routed-shard queue depth is sampled into.
+    pub depth_hists: &'a [&'static str],
+}
+
+/// Outcome of one [`run_queue`] call.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueueRun {
+    /// Run-wide aggregates; `servers` sums the shards' starting slots.
+    pub report: OpenLoopReport,
+    /// Per-shard tallies in canonical shard order.
+    pub shards: Vec<ShardStats>,
+    /// Per-request fate, in trace order.
+    pub outcomes: Vec<RequestOutcome>,
+    /// Cross-shard migrations triggered by quarantines.
+    pub rebalanced: usize,
+    /// Admissions and migrations that paid the cold penalty.
+    pub cold_misses: usize,
+    /// Admissions and migrations that landed on a warm shard.
+    pub warm_hits: usize,
+    /// Warm templates dropped by quarantines.
+    pub warm_evictions: usize,
+}
+
+/// Runs the open-loop simulation on one fabric. `services[i]` is the
+/// calibrated slot service time of `requests[i]` (see
+/// [`Calibration::service`](crate::Calibration::service)). Returns the
+/// aggregate report and the per-request outcomes in trace order.
+pub fn run_open_loop<R: Recorder>(
+    p: &OpenLoopParams,
+    requests: &[Request],
+    services: &[u64],
+    rec: &mut R,
+) -> (OpenLoopReport, Vec<RequestOutcome>) {
+    let setup = ShardSetup {
+        label: String::new(),
+        fabric: *p.fabric,
+        services,
+        faults: p.faults.cloned(),
+        span_prefix: String::new(),
+    };
+    let run = run_queue(
+        QueueParams {
+            shards: vec![setup],
+            slots: p.slots,
+            shed: p.shed,
+            router: None,
+            cold_penalty: 0,
+            record_spans: p.record_spans,
+            depth_hists: &[names::HIST_SERVE_QUEUE_DEPTH],
+        },
+        requests,
+        rec,
+    );
+    (run.report, run.outcomes)
+}
+
+/// Derives each request's template index: requests sharing `(network,
+/// profile)` share an index, numbered in first-appearance order.
+pub fn template_ids(requests: &[Request]) -> Vec<usize> {
+    let mut keys: Vec<(&str, &str)> = Vec::new();
+    requests
+        .iter()
+        .map(|r| {
+            let k = (r.spec.network.as_str(), r.spec.profile.as_str());
+            keys.iter().position(|x| *x == k).unwrap_or_else(|| {
+                keys.push(k);
+                keys.len() - 1
+            })
+        })
+        .collect()
+}
+
 /// One admitted request somewhere in a slot's FIFO queue.
 struct Job {
     idx: usize,
+    template: usize,
     arrival: u64,
     deadline: u64, // u64::MAX = no SLO
     len: u64,
@@ -185,196 +397,88 @@ struct Job {
     attempts: usize,
 }
 
+impl Job {
+    /// Discards the attempt in progress at `t`: records the lost work (and
+    /// a `fault/<kind>` span under `prefix`, when spans are on) and counts
+    /// the attempt. Returns the lost cycles and whether the retry budget is
+    /// now exhausted.
+    fn interrupt<R: Recorder>(
+        &mut self,
+        t: u64,
+        kind: &FaultKind,
+        max_retries: usize,
+        prefix: Option<&str>,
+        rec: &mut R,
+    ) -> (u64, bool) {
+        let lost = t - self.attempt_start;
+        rec.add(names::FAULT_LOST_CYCLES, lost);
+        if let Some(prefix) = prefix {
+            let kn = kind.name();
+            rec.span(|| format!("{prefix}fault/{kn}"), self.attempt_start, t);
+        }
+        self.first_start.get_or_insert(self.attempt_start);
+        self.attempts += 1;
+        let failed = self.attempts > max_retries;
+        if !failed {
+            rec.add(names::FAULT_RETRIES, 1);
+        }
+        (lost, failed)
+    }
+}
+
 struct Slot {
     queue: VecDeque<Job>,
     free_at: u64,
 }
 
-struct Sim {
+struct Shard<'a> {
+    fabric: FabricConfig,
+    services: &'a [u64],
+    span_prefix: String,
+    timeline: Option<FaultTimeline>,
+    max_retries: usize,
     slots: Vec<Slot>,
     requested: usize,
     quarantine: Quarantine,
-    /// Scheduled first-attempt starts of admitted-but-unstarted requests;
-    /// its length after popping elapsed entries is the queue depth.
-    /// Rebuilt whenever a fault shifts schedules.
+    /// Scheduled first-attempt starts of admitted-but-unstarted jobs; its
+    /// length after popping elapsed entries is the queue depth. Rebuilt
+    /// whenever a fault shifts schedules.
     unstarted: BinaryHeap<Reverse<u64>>,
-    outcomes: Vec<RequestOutcome>,
-    admitted: usize,
-    shed: usize,
-    completed: usize,
-    failed: usize,
-    misses: usize,
-    in_slo: usize,
-    busy: u64,
-    lost: u64,
-    wait_sum: u64,
-    horizon: u64,
-    faults_injected: usize,
-    quarantined: usize,
-    fault_log: Vec<(u64, &'static str)>,
-    latencies: Vec<u64>,
+    /// Templates whose morph decisions this shard has already cached.
+    warm: BTreeSet<usize>,
+    stats: ShardStats,
 }
 
-/// Runs the open-loop simulation over a trace. `services[i]` is the
-/// calibrated slot service time of `requests[i]` (see
-/// [`Calibration::service`](crate::Calibration::service)). Returns the
-/// aggregate report and the per-request outcomes in trace order.
-pub fn run_open_loop<R: Recorder>(
-    p: &OpenLoopParams,
-    requests: &[Request],
-    services: &[u64],
-    rec: &mut R,
-) -> (OpenLoopReport, Vec<RequestOutcome>) {
-    assert_eq!(
-        requests.len(),
-        services.len(),
-        "one service time per request"
-    );
-    debug_assert!(requests.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-    let servers = p.slots.clamp(1, lease::max_tenants(p.fabric).max(1));
-    let mut timeline = p.faults.map(|plan| FaultTimeline::new(plan, p.fabric));
-    let mut sim = Sim {
-        slots: (0..servers)
-            .map(|_| Slot {
-                queue: VecDeque::new(),
-                free_at: 0,
-            })
-            .collect(),
-        requested: servers,
-        quarantine: Quarantine::default(),
-        unstarted: BinaryHeap::new(),
-        outcomes: vec![RequestOutcome::Shed; requests.len()],
-        admitted: 0,
-        shed: 0,
-        completed: 0,
-        failed: 0,
-        misses: 0,
-        in_slo: 0,
-        busy: 0,
-        lost: 0,
-        wait_sum: 0,
-        horizon: 0,
-        faults_injected: 0,
-        quarantined: 0,
-        fault_log: Vec::new(),
-        latencies: Vec::new(),
-    };
-
-    for (i, (req, &service)) in requests.iter().zip(services).enumerate() {
-        sim.drain_faults(&mut timeline, p, req.arrival, rec);
-        sim.retire_completed(req.arrival, rec, p.record_spans);
-        while let Some(&Reverse(s)) = sim.unstarted.peek() {
-            if s > req.arrival {
-                break;
-            }
-            sim.unstarted.pop();
-        }
-        let depth = sim.unstarted.len();
-        rec.add(names::SERVE_REQUESTS, 1);
-        rec.sample(names::HIST_SERVE_QUEUE_DEPTH, depth as u64);
-        sim.horizon = sim.horizon.max(req.arrival);
-        let j = sim.argmin_free();
-        let start = req.arrival.max(sim.slots[j].free_at);
-        let deadline = req.deadline.unwrap_or(u64::MAX);
-        let shed = match p.shed {
-            ShedPolicy::None => false,
-            ShedPolicy::Queue(cap) => depth >= cap,
-            ShedPolicy::Deadline => {
-                deadline != u64::MAX
-                    && start.saturating_add(service) > req.arrival.saturating_add(deadline)
-            }
-        };
-        if shed {
-            sim.shed += 1;
-            rec.add(names::SERVE_SHED, 1);
-            if matches!(p.shed, ShedPolicy::Deadline) {
-                rec.sample(
-                    names::HIST_SERVE_SHED_SLACK,
-                    start + service - (req.arrival + deadline),
-                );
-            }
-            continue; // outcome stays Shed
-        }
-        sim.admitted += 1;
-        rec.add(names::SERVE_ADMITTED, 1);
-        sim.slots[j].queue.push_back(Job {
-            idx: i,
-            arrival: req.arrival,
-            deadline,
-            len: service,
-            attempt_start: start,
-            end: start + service,
-            first_start: None,
-            attempts: 0,
-        });
-        sim.slots[j].free_at = start + service;
-        if start > req.arrival {
-            sim.unstarted.push(Reverse(start));
+impl<'a> Shard<'a> {
+    fn new(setup: ShardSetup<'a>, slots: usize) -> Self {
+        let servers = slots.clamp(1, lease::max_tenants(&setup.fabric).max(1));
+        Shard {
+            timeline: setup
+                .faults
+                .as_ref()
+                .map(|f| FaultTimeline::new(f, &setup.fabric)),
+            max_retries: setup.faults.map_or(0, |plan| plan.max_retries),
+            fabric: setup.fabric,
+            services: setup.services,
+            span_prefix: setup.span_prefix,
+            slots: (0..servers)
+                .map(|_| Slot {
+                    queue: VecDeque::new(),
+                    free_at: 0,
+                })
+                .collect(),
+            requested: servers,
+            quarantine: Quarantine::default(),
+            unstarted: BinaryHeap::new(),
+            warm: BTreeSet::new(),
+            stats: ShardStats {
+                label: setup.label,
+                servers,
+                ..ShardStats::default()
+            },
         }
     }
 
-    // Trailing faults: keep drawing while events land before the last
-    // scheduled completion, so a fault cannot be skipped just because no
-    // arrival follows it.
-    loop {
-        let last = sim.slots.iter().map(|s| s.free_at).max().unwrap_or(0);
-        let Some(tl) = timeline.as_mut() else { break };
-        match tl.peek() {
-            Some(ev) if ev.at <= last => {
-                let ev = tl.pop().expect("peeked");
-                sim.apply_fault(ev, p, rec);
-            }
-            _ => break,
-        }
-    }
-    sim.retire_completed(u64::MAX, rec, p.record_spans);
-
-    let Sim {
-        admitted,
-        shed,
-        completed,
-        failed,
-        misses,
-        in_slo,
-        busy,
-        lost,
-        wait_sum,
-        horizon,
-        faults_injected,
-        quarantined,
-        fault_log,
-        mut latencies,
-        outcomes,
-        ..
-    } = sim;
-    latencies.sort_unstable();
-    let report = OpenLoopReport {
-        policy: p.shed.name(),
-        servers,
-        offered: requests.len(),
-        admitted,
-        shed,
-        completed,
-        failed,
-        deadline_misses: misses,
-        in_slo,
-        horizon,
-        busy_cycles: busy,
-        lost_cycles: lost,
-        faults_injected,
-        quarantined,
-        mean_queue_wait: if completed == 0 {
-            0.0
-        } else {
-            wait_sum as f64 / completed as f64
-        },
-        fault_log,
-        latencies,
-    };
-    (report, outcomes)
-}
-
-impl Sim {
     /// Earliest-free slot, ties toward the lowest index.
     fn argmin_free(&self) -> usize {
         let mut best = 0;
@@ -386,44 +490,252 @@ impl Sim {
         best
     }
 
-    fn drain_faults<R: Recorder>(
-        &mut self,
-        timeline: &mut Option<FaultTimeline>,
-        p: &OpenLoopParams,
-        upto: u64,
-        rec: &mut R,
-    ) {
-        let Some(tl) = timeline.as_mut() else { return };
-        while let Some(ev) = tl.peek() {
-            if ev.at > upto {
-                break;
-            }
-            let ev = tl.pop().expect("peeked");
-            self.apply_fault(ev, p, rec);
+    /// Slots a fault's hardware scope maps onto: geometric kinds project
+    /// proportionally onto the slot strip (leases are ordered column/bank
+    /// intervals), anonymous capacity kinds round-robin, and a DRAM glitch
+    /// is channel-wide — it corrupts the active attempt on every slot.
+    fn victims(&self, kind: &FaultKind) -> Vec<usize> {
+        let n = self.slots.len();
+        let clamp = |i: usize| i.min(n - 1);
+        match kind {
+            FaultKind::PeRect { col0, .. } => vec![clamp(col0 * n / self.fabric.pe_cols.max(1))],
+            FaultKind::SpmBank { bank } => vec![clamp(bank * n / self.fabric.spm_banks.max(1))],
+            FaultKind::NocLane { lane } => vec![lane % n],
+            FaultKind::DmaEngine { engine } => vec![engine % n],
+            FaultKind::DramChannel => (0..n).collect(),
         }
     }
 
-    fn retire_completed<R: Recorder>(&mut self, now: u64, rec: &mut R, spans: bool) {
-        for v in 0..self.slots.len() {
-            while let Some(front) = self.slots[v].queue.front() {
+    /// Recomputes the FIFO chain of slot `v` from queue position `from`,
+    /// following a shifted predecessor ending at `prev_end`.
+    fn reflow(&mut self, v: usize, from: usize, mut prev_end: u64) {
+        let slot = &mut self.slots[v];
+        for job in slot.queue.iter_mut().skip(from) {
+            let start = prev_end.max(job.arrival);
+            job.attempt_start = start;
+            job.end = start + job.len;
+            prev_end = job.end;
+        }
+        slot.free_at = slot.queue.back().map(|j| j.end).unwrap_or(prev_end);
+    }
+
+    /// Re-derives the unstarted-start heap after schedules shifted at `t`.
+    fn rebuild_unstarted(&mut self, t: u64) {
+        self.unstarted.clear();
+        for job in self.slots.iter().flat_map(|s| &s.queue) {
+            if job.first_start.is_none() && job.attempt_start > t {
+                self.unstarted.push(Reverse(job.attempt_start));
+            }
+        }
+    }
+
+    fn finish(mut self) -> ShardStats {
+        self.stats.in_flight = self.slots.iter().map(|s| s.queue.len()).sum();
+        self.stats.latencies.sort_unstable();
+        self.stats
+    }
+}
+
+struct Sim<'a> {
+    shards: Vec<Shard<'a>>,
+    /// Per-shard views as of the last [`Sim::refresh_views`].
+    views: Vec<ShardView>,
+    router: Option<&'a mut dyn RoutePolicy>,
+    cold_penalty: u64,
+    record_spans: bool,
+    outcomes: Vec<RequestOutcome>,
+    misses: usize,
+    in_slo: usize,
+    cold_misses: usize,
+    warm_hits: usize,
+    warm_evictions: usize,
+    wait_sum: u64,
+    horizon: u64,
+    fault_log: Vec<(u64, usize, &'static str)>,
+}
+
+/// Runs the open-loop queueing engine over a trace sorted by arrival.
+/// Every shard's `services` has one entry per request. Telemetry goes to
+/// `rec` under the names the parameters give it; see the module docs.
+pub fn run_queue<R: Recorder>(p: QueueParams, requests: &[Request], rec: &mut R) -> QueueRun {
+    assert!(!p.shards.is_empty(), "at least one shard");
+    assert!(
+        p.shards.iter().all(|s| s.services.len() == requests.len()),
+        "one service time per request on every shard"
+    );
+    debug_assert!(requests.windows(2).all(|w| w[0].arrival <= w[1].arrival));
+    let templates = template_ids(requests);
+    let n = p.shards.len();
+    let mut sim = Sim {
+        shards: p
+            .shards
+            .into_iter()
+            .map(|s| Shard::new(s, p.slots))
+            .collect(),
+        views: vec![ShardView::default(); n],
+        router: p.router,
+        cold_penalty: p.cold_penalty,
+        record_spans: p.record_spans,
+        outcomes: vec![RequestOutcome::Shed; requests.len()],
+        misses: 0,
+        in_slo: 0,
+        cold_misses: 0,
+        warm_hits: 0,
+        warm_evictions: 0,
+        wait_sum: 0,
+        horizon: 0,
+        fault_log: Vec::new(),
+    };
+
+    for (i, (req, &template)) in requests.iter().zip(&templates).enumerate() {
+        for s in 0..n {
+            while let Some(ev) = sim.next_fault(s, req.arrival) {
+                sim.apply_fault(s, ev, rec);
+            }
+        }
+        for s in 0..n {
+            sim.retire_completed(s, req.arrival, rec);
+        }
+        sim.refresh_views(req.arrival);
+        let chosen = sim.pick(template);
+        let depth = sim.views[chosen].depth;
+        rec.add(names::SERVE_REQUESTS, 1);
+        for &hist in p.depth_hists {
+            rec.sample(hist, depth as u64);
+        }
+        sim.horizon = sim.horizon.max(req.arrival);
+        let sh = &mut sim.shards[chosen];
+        sh.stats.routed += 1;
+        let cold = !sh.warm.contains(&template);
+        let service = sh.services[i] + if cold { sim.cold_penalty } else { 0 };
+        let j = sh.argmin_free();
+        let start = req.arrival.max(sh.slots[j].free_at);
+        let deadline = req.deadline.unwrap_or(u64::MAX);
+        let shed = match p.shed {
+            ShedPolicy::None => false,
+            ShedPolicy::Queue(cap) => depth >= cap,
+            ShedPolicy::Deadline => {
+                deadline != u64::MAX
+                    && start.saturating_add(service) > req.arrival.saturating_add(deadline)
+            }
+        };
+        if shed {
+            sh.stats.shed += 1;
+            rec.add(names::SERVE_SHED, 1);
+            if matches!(p.shed, ShedPolicy::Deadline) {
+                rec.sample(
+                    names::HIST_SERVE_SHED_SLACK,
+                    start + service - (req.arrival + deadline),
+                );
+            }
+            continue; // outcome stays Shed; the shard stays cold
+        }
+        rec.add(names::SERVE_ADMITTED, 1);
+        if cold {
+            sim.cold_misses += 1;
+            sh.warm.insert(template);
+        } else {
+            sim.warm_hits += 1;
+        }
+        sh.slots[j].queue.push_back(Job {
+            idx: i,
+            template,
+            arrival: req.arrival,
+            deadline,
+            len: service,
+            attempt_start: start,
+            end: start + service,
+            first_start: None,
+            attempts: 0,
+        });
+        sh.slots[j].free_at = start + service;
+        if start > req.arrival {
+            sh.unstarted.push(Reverse(start));
+        }
+    }
+
+    // Trailing faults: keep drawing on every shard while events land
+    // before the last scheduled completion, so a fault cannot be skipped
+    // just because no arrival follows it. Re-balancing can extend another
+    // shard's schedule, so sweep until a full pass makes no progress.
+    loop {
+        let last = (sim.shards.iter())
+            .flat_map(|sh| sh.slots.iter().map(|s| s.free_at))
+            .max()
+            .unwrap_or(0);
+        let mut progressed = false;
+        for s in 0..n {
+            if let Some(ev) = sim.next_fault(s, last) {
+                sim.apply_fault(s, ev, rec);
+                progressed = true;
+            }
+        }
+        if !progressed {
+            break;
+        }
+    }
+    for s in 0..n {
+        sim.retire_completed(s, u64::MAX, rec);
+    }
+    sim.finish(requests.len(), p.shed)
+}
+
+impl Sim<'_> {
+    /// Pops elapsed starts off every unstarted heap and refreshes the
+    /// shard views for cycle `t`.
+    fn refresh_views(&mut self, t: u64) {
+        for (sh, view) in self.shards.iter_mut().zip(&mut self.views) {
+            while sh.unstarted.peek().is_some_and(|&Reverse(s)| s <= t) {
+                sh.unstarted.pop();
+            }
+            *view = ShardView {
+                depth: sh.unstarted.len(),
+                backlog: sh.slots.iter().map(|s| s.free_at.saturating_sub(t)).sum(),
+            };
+        }
+    }
+
+    /// The shard for a job of `template`, from the current views. A lone
+    /// shard is never routed.
+    fn pick(&mut self, template: usize) -> usize {
+        let pick = match self.router.as_deref_mut() {
+            Some(router) if self.views.len() > 1 => router.route(template, &self.views),
+            _ => 0,
+        };
+        debug_assert!(pick < self.views.len(), "policy returned a valid shard");
+        pick
+    }
+
+    /// Pops shard `s`'s next fault if it lands at or before `upto`.
+    fn next_fault(&mut self, s: usize, upto: u64) -> Option<FaultEvent> {
+        let tl = self.shards[s].timeline.as_mut()?;
+        tl.peek()
+            .is_some_and(|ev| ev.at <= upto)
+            .then(|| tl.pop())?
+    }
+
+    fn retire_completed<R: Recorder>(&mut self, s: usize, now: u64, rec: &mut R) {
+        for v in 0..self.shards[s].slots.len() {
+            while let Some(front) = self.shards[s].slots[v].queue.front() {
                 if front.end > now {
                     break;
                 }
-                let job = self.slots[v].queue.pop_front().expect("checked");
-                self.complete(job, rec, spans);
+                let job = self.shards[s].slots[v].queue.pop_front().expect("checked");
+                self.complete(s, job, rec);
             }
         }
     }
 
-    fn complete<R: Recorder>(&mut self, job: Job, rec: &mut R, spans: bool) {
+    fn complete<R: Recorder>(&mut self, s: usize, job: Job, rec: &mut R) {
         let first = job.first_start.unwrap_or(job.attempt_start);
         let latency = job.end - job.arrival;
         let wait = first - job.arrival;
-        self.completed += 1;
-        self.busy += job.len;
         self.wait_sum += wait;
         self.horizon = self.horizon.max(job.end);
-        self.latencies.push(latency);
+        let sh = &mut self.shards[s];
+        sh.stats.completed += 1;
+        sh.stats.busy_cycles += job.len;
+        sh.stats.latencies.push(latency);
         rec.sample(names::HIST_JOB_LATENCY, latency);
         rec.sample(names::HIST_QUEUE_WAIT, wait);
         if latency <= job.deadline {
@@ -432,9 +744,9 @@ impl Sim {
             self.misses += 1;
             rec.add(names::SERVE_DEADLINE_MISSES, 1);
         }
-        if spans {
-            let idx = job.idx;
-            rec.span(|| format!("job/{idx}"), first, job.end);
+        if self.record_spans {
+            let (prefix, idx) = (&sh.span_prefix, job.idx);
+            rec.span(|| format!("{prefix}job/{idx}"), first, job.end);
         }
         self.outcomes[job.idx] = RequestOutcome::Done {
             start: first,
@@ -442,31 +754,14 @@ impl Sim {
         };
     }
 
-    fn fail(&mut self, job: Job, at: u64) {
-        self.failed += 1;
-        self.outcomes[job.idx] = RequestOutcome::Failed { at };
+    fn fail(&mut self, s: usize, idx: usize, at: u64) {
+        self.shards[s].stats.failed += 1;
+        self.outcomes[idx] = RequestOutcome::Failed { at };
     }
 
-    /// Slots a fault's hardware scope maps onto: geometric kinds project
-    /// proportionally onto the slot strip (leases are ordered column/bank
-    /// intervals), anonymous capacity kinds round-robin, and a DRAM glitch
-    /// is channel-wide — it corrupts the active attempt on every slot.
-    fn victims(&self, kind: &FaultKind, fabric: &FabricConfig) -> Vec<usize> {
-        let n = self.slots.len();
-        let clamp = |i: usize| i.min(n - 1);
-        match kind {
-            FaultKind::PeRect { col0, .. } => vec![clamp(col0 * n / fabric.pe_cols.max(1))],
-            FaultKind::SpmBank { bank } => vec![clamp(bank * n / fabric.spm_banks.max(1))],
-            FaultKind::NocLane { lane } => vec![lane % n],
-            FaultKind::DmaEngine { engine } => vec![engine % n],
-            FaultKind::DramChannel => (0..n).collect(),
-        }
-    }
-
-    fn apply_fault<R: Recorder>(&mut self, ev: FaultEvent, p: &OpenLoopParams, rec: &mut R) {
-        let plan = p.faults.expect("fault event implies a plan");
-        self.faults_injected += 1;
-        self.fault_log.push((ev.at, ev.kind.name()));
+    fn apply_fault<R: Recorder>(&mut self, s: usize, ev: FaultEvent, rec: &mut R) {
+        self.shards[s].stats.faults_injected += 1;
+        self.fault_log.push((ev.at, s, ev.kind.name()));
         rec.add(names::FAULT_INJECTED, 1);
         rec.add(
             if ev.permanent {
@@ -479,163 +774,165 @@ impl Sim {
         rec.add(kind_counter(&ev.kind), 1);
         // Work that finished strictly before the fault commits first —
         // the runtime's commit-wins-ties event ordering.
-        self.retire_completed(ev.at, rec, p.record_spans);
+        self.retire_completed(s, ev.at, rec);
         let mut changed = false;
-        for v in self.victims(&ev.kind, p.fabric) {
-            changed |= self.disrupt(v, ev.at, &ev.kind, plan, rec, p.record_spans);
+        for v in self.shards[s].victims(&ev.kind) {
+            changed |= self.disrupt(s, v, ev.at, &ev.kind, rec);
         }
-        if ev.permanent && self.quarantine.admit(&ev.kind, p.fabric) {
-            self.quarantined += 1;
+        let sh = &mut self.shards[s];
+        if ev.permanent && sh.quarantine.admit(&ev.kind, &sh.fabric) {
+            sh.stats.quarantined += 1;
             rec.add(names::FAULT_QUARANTINED, 1);
-            let cap = self
-                .requested
-                .min(self.quarantine.window(p.fabric).max_tenants())
-                .max(1);
-            while self.slots.len() > cap {
-                self.evict_last(ev.at, &ev.kind, plan, rec, p.record_spans);
+            // The carve geometry changed: every cached morph decision on
+            // this shard is stale, and routing must stop chasing it.
+            self.warm_evictions += sh.warm.len();
+            sh.warm.clear();
+            if let Some(router) = self.router.as_deref_mut() {
+                router.forget_shard(s);
+            }
+            let window = sh.quarantine.window(&sh.fabric);
+            let cap = sh.requested.min(window.max_tenants()).max(1);
+            while self.shards[s].slots.len() > cap {
+                self.evict_last(s, ev.at, &ev.kind, rec);
                 changed = true;
             }
         }
         if changed {
-            self.rebuild_unstarted(ev.at);
+            self.shards[s].rebuild_unstarted(ev.at);
         }
     }
 
-    /// Interrupts the attempt in progress on slot `v` at `t`, if any:
-    /// bounded retry in place, then FIFO reflow of everything queued
-    /// behind it. Returns whether any schedule changed.
+    /// Interrupts the attempt in progress on slot `v` of shard `s` at `t`,
+    /// if any: bounded retry in place, then FIFO reflow of everything
+    /// queued behind it. Returns whether any schedule changed.
     fn disrupt<R: Recorder>(
         &mut self,
+        s: usize,
         v: usize,
         t: u64,
         kind: &FaultKind,
-        plan: &FaultPlan,
         rec: &mut R,
-        spans: bool,
     ) -> bool {
-        let Some(k) = self.slots[v]
-            .queue
-            .iter()
-            .position(|j| j.attempt_start <= t && t < j.end)
+        let sh = &mut self.shards[s];
+        let Some(k) = (sh.slots[v].queue.iter()).position(|j| j.attempt_start <= t && t < j.end)
         else {
             return false;
         };
         rec.add(names::FAULT_HITS, 1);
-        let failed;
-        {
-            let job = &mut self.slots[v].queue[k];
-            let lost = t - job.attempt_start;
-            rec.add(names::FAULT_LOST_CYCLES, lost);
-            if spans {
-                let kn = kind.name();
-                rec.span(|| format!("fault/{kn}"), job.attempt_start, t);
-            }
-            if job.first_start.is_none() {
-                job.first_start = Some(job.attempt_start);
-            }
-            job.attempts += 1;
-            failed = job.attempts > plan.max_retries;
-            if !failed {
-                rec.add(names::FAULT_RETRIES, 1);
-                job.attempt_start = t;
-                job.end = t + job.len;
-            }
-            self.lost += lost;
-        }
+        let prefix = self.record_spans.then_some(sh.span_prefix.as_str());
+        let job = &mut sh.slots[v].queue[k];
+        let (lost, failed) = job.interrupt(t, kind, sh.max_retries, prefix, rec);
+        sh.stats.lost_cycles += lost;
         if failed {
-            let job = self.slots[v].queue.remove(k).expect("index in range");
-            self.fail(job, t);
+            let job = sh.slots[v].queue.remove(k).expect("index in range");
             let prev_end = if k == 0 {
                 t
             } else {
-                self.slots[v].queue[k - 1].end
+                sh.slots[v].queue[k - 1].end
             };
-            self.reflow(v, k, prev_end);
+            sh.reflow(v, k, prev_end);
+            self.fail(s, job.idx, t);
         } else {
-            let prev_end = self.slots[v].queue[k].end;
-            self.reflow(v, k + 1, prev_end);
+            job.attempt_start = t;
+            job.end = t + job.len;
+            let prev_end = job.end;
+            sh.reflow(v, k + 1, prev_end);
         }
         true
     }
 
-    /// Recomputes the FIFO chain of slot `v` from queue position `from`,
-    /// following a shifted predecessor ending at `prev_end`.
-    fn reflow(&mut self, v: usize, from: usize, mut prev_end: u64) {
-        for job in self.slots[v].queue.iter_mut().skip(from) {
-            let start = prev_end.max(job.arrival);
-            job.attempt_start = start;
-            job.end = start + job.len;
-            prev_end = job.end;
-        }
-        self.slots[v].free_at = self.slots[v]
-            .queue
-            .back()
-            .map(|j| j.end)
-            .unwrap_or(prev_end);
-    }
-
-    /// Removes the last slot (quarantine shrank the carve window) and
-    /// migrates its residents onto the surviving slots, restarting any
-    /// in-progress attempt.
-    fn evict_last<R: Recorder>(
-        &mut self,
-        t: u64,
-        kind: &FaultKind,
-        plan: &FaultPlan,
-        rec: &mut R,
-        spans: bool,
-    ) {
-        let mut slot = self.slots.pop().expect("capacity is at least one");
+    /// Removes shard `s`'s last slot (quarantine shrank the carve window)
+    /// and re-routes its residents, restarting any in-progress attempt. A
+    /// cross-shard move is re-costed with the destination's service time
+    /// (plus the cold penalty if the destination has not seen the
+    /// template).
+    fn evict_last<R: Recorder>(&mut self, s: usize, t: u64, kind: &FaultKind, rec: &mut R) {
+        let mut slot = (self.shards[s].slots.pop()).expect("capacity is at least one");
         while let Some(mut job) = slot.queue.pop_front() {
             rec.add(names::FAULT_EVICTIONS, 1);
             if job.attempt_start <= t {
                 // The active attempt loses its work.
-                let lost = t - job.attempt_start;
-                self.lost += lost;
-                rec.add(names::FAULT_LOST_CYCLES, lost);
-                if spans {
-                    let kn = kind.name();
-                    rec.span(|| format!("fault/{kn}"), job.attempt_start, t);
-                }
-                if job.first_start.is_none() {
-                    job.first_start = Some(job.attempt_start);
-                }
-                job.attempts += 1;
-                if job.attempts > plan.max_retries {
-                    self.fail(job, t);
+                let sh = &mut self.shards[s];
+                let prefix = self.record_spans.then_some(sh.span_prefix.as_str());
+                let (lost, failed) = job.interrupt(t, kind, sh.max_retries, prefix, rec);
+                sh.stats.lost_cycles += lost;
+                if failed {
+                    self.fail(s, job.idx, t);
                     continue;
                 }
-                rec.add(names::FAULT_RETRIES, 1);
             }
-            let j = self.argmin_free();
-            let start = t.max(self.slots[j].free_at).max(job.arrival);
-            job.attempt_start = start;
-            job.end = start + job.len;
-            self.slots[j].free_at = job.end;
-            self.slots[j].queue.push_back(job);
-        }
-    }
-
-    /// Re-derives the unstarted-start heap after schedules shifted at `t`.
-    fn rebuild_unstarted(&mut self, t: u64) {
-        self.unstarted.clear();
-        for slot in &self.slots {
-            for job in &slot.queue {
-                if job.first_start.is_none() && job.attempt_start > t {
-                    self.unstarted.push(Reverse(job.attempt_start));
+            self.refresh_views(t);
+            let dest = self.pick(job.template);
+            if dest != s {
+                self.shards[s].stats.rebalanced_out += 1;
+                let sh = &mut self.shards[dest];
+                sh.stats.rebalanced_in += 1;
+                let cold = !sh.warm.contains(&job.template);
+                job.len = sh.services[job.idx] + if cold { self.cold_penalty } else { 0 };
+                if cold {
+                    self.cold_misses += 1;
+                    sh.warm.insert(job.template);
+                } else {
+                    self.warm_hits += 1;
                 }
             }
+            let sh = &mut self.shards[dest];
+            let j = sh.argmin_free();
+            let start = t.max(sh.slots[j].free_at).max(job.arrival);
+            job.attempt_start = start;
+            job.end = start + job.len;
+            sh.slots[j].free_at = job.end;
+            if job.first_start.is_none() && start > t {
+                sh.unstarted.push(Reverse(start));
+            }
+            sh.slots[j].queue.push_back(job);
         }
     }
-}
 
-fn kind_counter(kind: &FaultKind) -> &'static str {
-    match kind {
-        FaultKind::PeRect { .. } => names::FAULT_INJECTED_PE,
-        FaultKind::SpmBank { .. } => names::FAULT_INJECTED_SPM,
-        FaultKind::NocLane { .. } => names::FAULT_INJECTED_NOC,
-        FaultKind::DmaEngine { .. } => names::FAULT_INJECTED_DMA,
-        FaultKind::DramChannel => names::FAULT_INJECTED_DRAM,
+    fn finish(self, offered: usize, shed_policy: ShedPolicy) -> QueueRun {
+        let mut fault_log = self.fault_log;
+        fault_log.sort_by_key(|&(at, shard, _)| (at, shard));
+        let shards: Vec<ShardStats> = self.shards.into_iter().map(Shard::finish).collect();
+        let total = |f: fn(&ShardStats) -> usize| shards.iter().map(f).sum::<usize>();
+        let cycles = |f: fn(&ShardStats) -> u64| shards.iter().map(f).sum::<u64>();
+        let mut latencies: Vec<u64> = shards.iter().flat_map(|s| s.latencies.clone()).collect();
+        latencies.sort_unstable();
+        let (shed, completed) = (total(|s| s.shed), total(|s| s.completed));
+        let report = OpenLoopReport {
+            policy: shed_policy.name(),
+            servers: total(|s| s.servers),
+            offered,
+            admitted: offered - shed,
+            shed,
+            completed,
+            failed: total(|s| s.failed),
+            deadline_misses: self.misses,
+            in_slo: self.in_slo,
+            horizon: self.horizon,
+            busy_cycles: cycles(|s| s.busy_cycles),
+            lost_cycles: cycles(|s| s.lost_cycles),
+            faults_injected: total(|s| s.faults_injected),
+            quarantined: total(|s| s.quarantined),
+            mean_queue_wait: if completed == 0 {
+                0.0
+            } else {
+                self.wait_sum as f64 / completed as f64
+            },
+            fault_log: fault_log
+                .into_iter()
+                .map(|(at, _, kind)| (at, kind))
+                .collect(),
+            latencies,
+        };
+        QueueRun {
+            report,
+            rebalanced: total(|s| s.rebalanced_out),
+            shards,
+            outcomes: self.outcomes,
+            cold_misses: self.cold_misses,
+            warm_hits: self.warm_hits,
+            warm_evictions: self.warm_evictions,
+        }
     }
 }
 
